@@ -510,7 +510,7 @@ func BenchmarkE11(b *testing.B) {
 func BenchmarkE12(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, err := promises.NewSharded(promises.ShardedConfig{Shards: shards, DefaultDuration: time.Hour})
+			s, err := promises.NewSharded(promises.ShardedConfig{Shards: shards, Config: promises.Config{DefaultDuration: time.Hour}})
 			if err != nil {
 				b.Fatal(err)
 			}

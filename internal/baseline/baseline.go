@@ -24,7 +24,6 @@ package baseline
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -65,22 +64,21 @@ func (o Outcome) String() string {
 	return "unknown"
 }
 
-// Locking is the long-duration 2PL baseline. It shares the store's lock
-// manager namespace under "app/" so application locks never collide with
-// the store's internal row locks.
+// Locking is the long-duration 2PL baseline: each order is a session that
+// takes exclusive application locks on its pools in a lock table of its
+// own and holds them across think time. The store's short transactions
+// run inside the locked region.
 type Locking struct {
 	store *txn.Store
 	rm    *resource.Manager
-	lm    *txn.LockManager
+	locks *lockTable
 	next  atomic.Uint64
 }
 
 // NewLocking returns a lock-based order runner over rm.
 func NewLocking(store *txn.Store, rm *resource.Manager) *Locking {
-	return &Locking{store: store, rm: rm, lm: store.LockManager()}
+	return &Locking{store: store, rm: rm, locks: newLockTable()}
 }
-
-func appLock(pool string) string { return "app/pool/" + pool }
 
 // RunOrder executes one order under long-duration exclusive locks:
 // lock pool → check → think → purchase → unlock.
@@ -92,16 +90,11 @@ func (b *Locking) RunOrder(pool string, qty int64, think func()) (Outcome, error
 // passes opposite orders from different clients to manufacture deadlock),
 // then purchases qty from each.
 func (b *Locking) RunMultiOrder(pools []string, qty int64, think func()) (Outcome, error) {
-	// Session ids live above the store's transaction ids so they never
-	// collide inside the shared lock manager.
-	sid := b.next.Add(1) | 1<<62
-	defer b.lm.ReleaseAll(sid)
+	sid := b.next.Add(1)
+	defer b.locks.releaseAll(sid)
 	for _, pool := range pools {
-		if err := b.lm.Acquire(sid, appLock(pool), txn.X, txn.Block); err != nil {
-			if errors.Is(err, txn.ErrDeadlock) {
-				return Deadlocked, nil
-			}
-			return Deadlocked, err
+		if err := b.locks.acquire(sid, pool); err != nil {
+			return Deadlocked, nil
 		}
 	}
 	// Check availability under the locks.
@@ -172,24 +165,18 @@ func (b *CheckThenAct) RunOrder(pool string, qty int64, think func()) (Outcome, 
 		think() // nothing protects the checked condition here
 	}
 
-	for {
-		buy := b.store.Begin(txn.Block)
-		_, err := b.rm.AdjustPool(buy, pool, -qty)
-		if err == nil {
-			if cerr := buy.Commit(); cerr == nil {
-				return Fulfilled, nil
-			}
-			continue
-		}
+	buy := b.store.Begin(txn.Block)
+	if _, err := b.rm.AdjustPool(buy, pool, -qty); err != nil {
 		_ = buy.Abort()
-		if errors.Is(err, txn.ErrDeadlock) || errors.Is(err, txn.ErrWouldBlock) {
-			continue // storage-level retry; not a business failure
-		}
 		// Insufficient stock at purchase time: the paper's motivating
 		// failure ("payment arrives for an accepted order when there is
 		// insufficient stock on hand", §1).
 		return FailedLate, nil
 	}
+	if err := buy.Commit(); err != nil {
+		return FailedLate, err
+	}
+	return Fulfilled, nil
 }
 
 // PromiseOrders drives the same workload through the promise manager.

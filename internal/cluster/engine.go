@@ -952,7 +952,6 @@ func (e *Engine) Stats() core.Stats {
 		out.Expirations += st.Expirations
 		out.Violations += st.Violations
 		out.ActionErrors += st.ActionErrors
-		out.DeadlockRetries += st.DeadlockRetries
 		out.ExpiryErrors += st.ExpiryErrors
 		out.PrefilterSkipped += st.PrefilterSkipped
 		out.Preemptions += st.Preemptions

@@ -81,9 +81,11 @@ func runEquivalence(t *testing.T, seed int64) {
 	)
 	sim, eng := newSim(t, core.MatchingMode)
 	ref, err := core.NewSharded(core.ShardedConfig{
-		Shards:       4,
-		Clock:        sim.Clock(),
-		PropertyMode: core.MatchingMode,
+		Shards: 4,
+		Config: core.Config{
+			Clock:        sim.Clock(),
+			PropertyMode: core.MatchingMode,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

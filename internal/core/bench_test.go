@@ -190,7 +190,7 @@ func BenchmarkAudit(b *testing.B) {
 // that parallel workers spread across shards.
 func benchShardedPools(b *testing.B, shards, pools int) (*ShardedManager, []string) {
 	b.Helper()
-	s, err := NewSharded(ShardedConfig{Shards: shards, DefaultDuration: time.Hour})
+	s, err := NewSharded(ShardedConfig{Shards: shards, Config: Config{DefaultDuration: time.Hour}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func BenchmarkGrantBatch(b *testing.B) {
 func BenchmarkCheckUnderWriteLoad(b *testing.B) {
 	for _, writers := range []int{0, 2, 8} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			s, err := NewSharded(ShardedConfig{Shards: 8, DefaultDuration: time.Hour})
+			s, err := NewSharded(ShardedConfig{Shards: 8, Config: Config{DefaultDuration: time.Hour}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -422,7 +422,7 @@ func BenchmarkCrossShardPropertyGrant(b *testing.B) {
 	}
 	for _, layout := range layouts {
 		b.Run(layout.name, func(b *testing.B) {
-			s, err := NewSharded(ShardedConfig{Shards: 8, DefaultDuration: time.Hour})
+			s, err := NewSharded(ShardedConfig{Shards: 8, Config: Config{DefaultDuration: time.Hour}})
 			if err != nil {
 				b.Fatal(err)
 			}

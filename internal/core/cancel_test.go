@@ -81,8 +81,10 @@ func TestCancelMidPipelineAbortsBeforeConfirm(t *testing.T) {
 	sup := &cancellingSupplier{onRequest: cancel}
 
 	s, err := NewSharded(ShardedConfig{
-		Shards:    4,
-		Suppliers: map[string]Supplier{"cancel-pool-0": sup},
+		Shards: 4,
+		Config: Config{
+			Suppliers: map[string]Supplier{"cancel-pool-0": sup},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +143,10 @@ func TestCancelMidPipelineRestoresReleases(t *testing.T) {
 	sup := &cancellingSupplier{onRequest: cancel}
 
 	s, err := NewSharded(ShardedConfig{
-		Shards:    4,
-		Suppliers: map[string]Supplier{"cancel-pool-0": sup},
+		Shards: 4,
+		Config: Config{
+			Suppliers: map[string]Supplier{"cancel-pool-0": sup},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

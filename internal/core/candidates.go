@@ -138,8 +138,6 @@ func (m *Manager) CandidateSummary() (hostable, slots int) {
 func (m *Manager) candInit(snap *txn.Snapshot) {
 	c := &m.cand
 	pm := &m.pmatch
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
 	pm.init()
 	c.insts = make(map[string]instContrib)
 	c.promises = make(map[string]promContrib)
@@ -154,7 +152,7 @@ func (m *Manager) candInit(snap *txn.Snapshot) {
 			c.promises[key] = pc
 			c.slots += pc.propSlots
 		}
-		pm.updatePromiseSlotsLocked(key, p)
+		pm.updatePromiseSlots(key, p)
 		return true
 	})
 	_ = snap.Scan(resource.TableInstances, func(key string, _ txn.Row) bool {
@@ -166,11 +164,10 @@ func (m *Manager) candInit(snap *txn.Snapshot) {
 
 // onCommit is the store commit hook: it folds one commit's touched keys
 // into the index and republishes the summary when anything changed. Calls
-// are serialized in commit order by the store.
+// run under the store's writer, in commit order.
 func (m *Manager) onCommit(snap *txn.Snapshot, touched []txn.TableKey) {
 	c := &m.cand
 	pm := &m.pmatch
-	pm.mu.Lock()
 	var affected map[string]bool
 	touch := func(id string) {
 		if affected == nil {
@@ -191,7 +188,7 @@ func (m *Manager) onCommit(snap *txn.Snapshot, touched []txn.TableKey) {
 				neu = promContribOf(prow)
 				present = true
 			}
-			pm.updatePromiseSlotsLocked(tk.Key, prow)
+			pm.updatePromiseSlots(tk.Key, prow)
 			if neu.propSlots != old.propSlots {
 				c.slots += neu.propSlots - old.propSlots
 				changed = true
@@ -222,7 +219,6 @@ func (m *Manager) onCommit(snap *txn.Snapshot, touched []txn.TableKey) {
 	if changed {
 		m.candPublish()
 	}
-	pm.mu.Unlock()
 	// Durability rides the same hook: the commit record is appended after
 	// the snapshot is published, still inside the store's serialized hook
 	// order, so log order equals version order and a checkpoint taken from
@@ -247,8 +243,8 @@ func promContribOf(p *Promise) promContrib {
 }
 
 // candRecompute re-classifies one instance against the snapshot and folds
-// the difference into the counts and the persistent matcher state (pm.mu
-// held by the caller). Returns whether anything changed.
+// the difference into the counts and the persistent matcher state. Returns
+// whether anything changed.
 func (m *Manager) candRecompute(snap *txn.Snapshot, id string) bool {
 	c := &m.cand
 	neu, inst, exists := m.candClassify(snap, id)
@@ -287,7 +283,7 @@ func (m *Manager) candRecompute(snap *txn.Snapshot, id string) bool {
 			c.dirty[k] = struct{}{}
 		}
 	}
-	m.pmatch.updateCandLocked(id, neu.hostable, neu.tentative, inst)
+	m.pmatch.updateCand(id, neu.hostable, neu.tentative, inst)
 	if exists {
 		c.insts[id] = neu
 	} else {

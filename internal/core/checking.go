@@ -220,11 +220,7 @@ func (m *Manager) planInner(ctx context.Context, tx *txn.Tx, st *execState, pred
 			}
 		}
 		if allProperty {
-			feasible, err := m.planPropertyFast(tx, preds, plan)
-			if err != nil {
-				return nil, "", nil, err
-			}
-			if !feasible {
+			if !m.planPropertyFast(preds, plan) {
 				return nil, "property predicates not jointly satisfiable with outstanding promises", nil, nil
 			}
 			return plan, "", nil, nil

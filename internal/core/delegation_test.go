@@ -153,11 +153,8 @@ func TestManagerSupplierConsume(t *testing.T) {
 	if err := sup.ConsumePromise(bg, id, 4); err != nil {
 		t.Fatal(err)
 	}
-	tx := distributor.Store().Begin(txn.Block)
-	defer tx.Commit()
-	p, _ := distributor.Resources().Pool(tx, "w")
-	if p.OnHand != 6 {
-		t.Fatalf("distributor on hand = %d, want 6", p.OnHand)
+	if onHand, _ := distributor.PoolLevel("w"); onHand != 6 {
+		t.Fatalf("distributor on hand = %d, want 6", onHand)
 	}
 	if err := sup.ReleasePromise(bg, id); err == nil {
 		// Releasing a released promise reports the state error in

@@ -37,7 +37,7 @@ func openDur(t *testing.T, dir string, shards int, clk clock.Clock, opts Durabil
 	t.Helper()
 	opts.Dir = dir
 	if shards > 1 {
-		s, err := OpenDurableSharded(ShardedConfig{Shards: shards, Clock: clk}, opts)
+		s, err := OpenDurableSharded(ShardedConfig{Shards: shards, Config: Config{Clock: clk}}, opts)
 		if err != nil {
 			t.Fatalf("OpenDurableSharded: %v", err)
 		}
@@ -53,7 +53,7 @@ func openDur(t *testing.T, dir string, shards int, clk clock.Clock, opts Durabil
 func openRef(t *testing.T, shards int, clk clock.Clock) durEngine {
 	t.Helper()
 	if shards > 1 {
-		s, err := NewSharded(ShardedConfig{Shards: shards, Clock: clk})
+		s, err := NewSharded(ShardedConfig{Shards: shards, Config: Config{Clock: clk}})
 		if err != nil {
 			t.Fatalf("NewSharded: %v", err)
 		}
@@ -562,7 +562,7 @@ func TestManifestShardMismatch(t *testing.T) {
 	if _, err := OpenDurable(Config{Clock: clock.NewFake(durBase)}, DurabilityOptions{Dir: dir}); err == nil {
 		t.Fatal("OpenDurable over a 4-shard directory must fail")
 	}
-	if _, err := OpenDurableSharded(ShardedConfig{Shards: 2, Clock: clock.NewFake(durBase)}, DurabilityOptions{Dir: dir}); err == nil {
+	if _, err := OpenDurableSharded(ShardedConfig{Shards: 2, Config: Config{Clock: clock.NewFake(durBase)}}, DurabilityOptions{Dir: dir}); err == nil {
 		t.Fatal("OpenDurableSharded(2) over a 4-shard directory must fail")
 	}
 	// The matching shape still opens.

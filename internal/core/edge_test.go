@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -257,31 +256,25 @@ func TestManyPredicatesOnePromise(t *testing.T) {
 func poolName(i int) string { return "pool-" + string(rune('a'+i)) }
 func instName(i int) string { return "inst-" + string(rune('a'+i)) }
 
-func TestActionDeadlockIsRetriedNotReported(t *testing.T) {
-	// Regression: a deadlock surfacing inside the application action (e.g.
-	// an S->X upgrade collision on a pool row) is a transaction-level
-	// event. Execute must retry the request, not report FailedLate-style
-	// ActionErr to the client.
+func TestActionErrorRunsOnceAndIsReported(t *testing.T) {
+	// Each store admits one transaction at a time, so nothing inside an
+	// action can deadlock: Execute runs the action exactly once and reports
+	// its error to the client, whatever the error wraps.
 	m, _ := newManager(t, Config{})
 	attempts := 0
+	failure := errors.New("row busy")
 	resp, err := m.Execute(bg, Request{Client: "c", Action: func(ac *ActionContext) (any, error) {
 		attempts++
-		if attempts < 3 {
-			return nil, fmt.Errorf("row lock: %w", txn.ErrDeadlock)
-		}
-		return "done", nil
+		return nil, failure
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ActionErr != nil {
-		t.Fatalf("deadlock leaked to client: %v", resp.ActionErr)
+	if !errors.Is(resp.ActionErr, failure) || attempts != 1 {
+		t.Fatalf("ActionErr=%v attempts=%d, want the action's error after one run", resp.ActionErr, attempts)
 	}
-	if resp.ActionResult != "done" || attempts != 3 {
-		t.Fatalf("result=%v attempts=%d", resp.ActionResult, attempts)
-	}
-	if got := m.Stats().DeadlockRetries; got != 2 {
-		t.Fatalf("deadlock retries = %d, want 2", got)
+	if st := m.Stats(); st.ActionErrors != 1 || st.DeadlockRetries != 0 {
+		t.Fatalf("stats: actionErrs=%d deadlockRetries=%d, want 1 and 0", st.ActionErrors, st.DeadlockRetries)
 	}
 }
 

@@ -80,7 +80,7 @@ func newEqWorld(t *testing.T, seed int64, shards int, singleSlow bool) *eqWorld 
 		t.Fatal(err)
 	}
 	single.cfg.disableFastPath = singleSlow
-	sharded, err := NewSharded(ShardedConfig{Shards: shards, Clock: fake, DefaultDuration: time.Hour})
+	sharded, err := NewSharded(ShardedConfig{Shards: shards, Config: Config{Clock: fake, DefaultDuration: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}

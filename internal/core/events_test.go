@@ -184,7 +184,7 @@ func TestExpiryFiresAtDeadlineNotNextRequest(t *testing.T) {
 }
 
 func TestShardedExpiryFiresAtDeadline(t *testing.T) {
-	s, fake := newShardedT(t, ShardedConfig{DefaultDuration: time.Minute})
+	s, fake := newShardedT(t, ShardedConfig{Config: Config{DefaultDuration: time.Minute}})
 	pool := nameOnShard(t, s, 1, "evx-pool")
 	mustPool(t, s, pool, 5)
 	ctx, cancel := context.WithCancel(bg)
@@ -213,7 +213,7 @@ func TestWatchExactlyOnceAcrossMigration(t *testing.T) {
 	// continuous event stream under its id: exactly one grant, exactly one
 	// migration, exactly one terminal event — nothing doubled or lost by
 	// the move.
-	s, fake := newShardedT(t, ShardedConfig{Shards: 4, DefaultDuration: time.Minute})
+	s, fake := newShardedT(t, ShardedConfig{Shards: 4, Config: Config{DefaultDuration: time.Minute}})
 	x := nameOnShard(t, s, 0, "evm-x")
 	y := nameOnShard(t, s, 2, "evm-y")
 	for _, id := range []string{x, y} {
@@ -449,7 +449,7 @@ func TestContextDeadlineCapsDuration(t *testing.T) {
 		})
 	})
 	t.Run("sharded", func(t *testing.T) {
-		s, _ := newShardedT(t, ShardedConfig{MaxDuration: 10 * time.Minute})
+		s, _ := newShardedT(t, ShardedConfig{Config: Config{MaxDuration: 10 * time.Minute}})
 		pool := nameOnShard(t, s, 1, "ctxcap")
 		mustPool(t, s, pool, 100)
 		run(t, func(pr PromiseRequest, ctx context.Context) PromiseResponse {
@@ -470,7 +470,7 @@ func TestContextDeadlineCapsDuration(t *testing.T) {
 		// are granted pinned by the global matcher: the floor must reject
 		// before any shard reserves, and an accepted pinned grant must
 		// respect the ctx-deadline cap exactly like a single-store grant.
-		s, fake := newShardedT(t, ShardedConfig{MaxDuration: 10 * time.Minute})
+		s, fake := newShardedT(t, ShardedConfig{Config: Config{MaxDuration: 10 * time.Minute}})
 		if err := s.CreateInstance("ctxcap-inst", map[string]predicate.Value{"p": predicate.Bool(true)}); err != nil {
 			t.Fatal(err)
 		}

@@ -227,19 +227,13 @@ func (m *Manager) expireDueGated() error {
 				Time: now, Expires: p.Expires,
 			})
 		}
-		// Commit and publish under the commit-order lock: the 2PL read
-		// locks guarantee any release of these promises commits after this
-		// transaction, and pubMu then orders its event after ours.
+		// Commit and publish under the commit-order lock: the store's
+		// writer guarantees any release of these promises commits after
+		// this transaction, and pubMu then orders its event after ours.
 		m.pubMu.Lock()
-		err := tx.Commit()
-		if err == nil {
-			m.bus.publish(events...)
-		}
+		_ = tx.Commit()
+		m.bus.publish(events...)
 		m.pubMu.Unlock()
-		if err != nil {
-			m.exp.reschedule(now.Add(100 * time.Millisecond))
-			return err
-		}
 		// Best-effort: there is no caller to surface a sync failure to; a
 		// lost warning event re-fires as the deadline entry anyway.
 		_ = m.durSync()
@@ -265,61 +259,32 @@ func (m *Manager) expireDueGated() error {
 }
 
 // expireBatch lapses the given due promises in one transaction and
-// publishes their Expired events under the commit-order lock, retrying
-// internal deadlocks (possible only when the Manager runs standalone, with
-// no shard lock serializing it against concurrent requests).
+// publishes their Expired events under the commit-order lock.
 func (m *Manager) expireBatch(now time.Time, exps []expiryEntry) (*execState, error) {
-	var lastErr error
-	for attempt := 0; attempt < m.cfg.MaxRetries; attempt++ {
-		st := &execState{}
-		tx := m.store.Begin(txn.Block)
-		failed := func(err error) bool {
-			if err == nil {
-				return false
-			}
+	st := &execState{}
+	tx := m.store.Begin(txn.Block)
+	for _, e := range exps {
+		p, err := m.promise(tx, e.id)
+		switch {
+		case errors.Is(err, ErrPromiseNotFound):
+			continue // migrated away, or an id this store never held
+		case err != nil:
+		case p.State != Active || now.Before(p.Expires):
+			continue // already terminal, or renewed under a later deadline
+		default:
+			err = m.releasePromise(tx, st, p, Expired)
+		}
+		if err != nil {
 			_ = tx.Abort()
-			lastErr = err
-			return true
-		}
-		var err error
-		for _, e := range exps {
-			p, perr := m.promise(tx, e.id)
-			if errors.Is(perr, ErrPromiseNotFound) {
-				continue // migrated away, or an id this store never held
-			}
-			if perr != nil {
-				err = perr
-				break
-			}
-			if p.State != Active || now.Before(p.Expires) {
-				continue // already terminal, or renewed under a later deadline
-			}
-			if rerr := m.releasePromise(tx, st, p, Expired); rerr != nil {
-				err = rerr
-				break
-			}
-		}
-		if failed(err) {
-			if errors.Is(err, txn.ErrDeadlock) {
-				continue
-			}
 			return nil, err
 		}
-		m.pubMu.Lock()
-		if err := tx.Commit(); err != nil {
-			m.pubMu.Unlock()
-			lastErr = err
-			if errors.Is(err, txn.ErrDeadlock) {
-				continue
-			}
-			return nil, err
-		}
-		m.bus.publish(st.events...)
-		m.pubMu.Unlock()
-		// Best-effort; a crash before this reaches disk replays as a still-
-		// active promise that re-expires on recovery.
-		_ = m.durSync()
-		return st, nil
 	}
-	return nil, lastErr
+	m.pubMu.Lock()
+	_ = tx.Commit()
+	m.bus.publish(st.events...)
+	m.pubMu.Unlock()
+	// Best-effort; a crash before this reaches disk replays as a still-
+	// active promise that re-expires on recovery.
+	_ = m.durSync()
+	return st, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"strings"
 	"sync"
 	"time"
@@ -57,16 +56,15 @@ type Config struct {
 	// ablation demonstrating why §8 requires it. Never set in production.
 	DisablePostCheck bool
 	// Suppliers maps pool ids to upstream promise makers for delegation
-	// (§5). Optional.
+	// (§5). Optional. Suppliers and actions run inside the request's
+	// transaction, so they must never call back into this manager (see
+	// txn.Store.Begin).
 	Suppliers map[string]Supplier
 	// Actions resolves Request.ActionName to a runnable action, so
 	// applications written against the unified Engine surface can invoke
 	// named service operations on a local manager exactly as they would
 	// over the wire. Optional; service.Registry implements it.
 	Actions ActionResolver
-	// MaxRetries bounds internal deadlock retries per request. Zero means
-	// 32.
-	MaxRetries int
 	// IDPrefix overrides the promise-id prefix. Empty means "prm". The
 	// sharded manager gives each shard a distinct prefix so promise ids
 	// stay unique across shards and route back to their owning shard.
@@ -161,9 +159,6 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.MaxDuration <= 0 {
 		cfg.MaxDuration = 10 * time.Minute
 	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 32
-	}
 	if cfg.IDPrefix == "" {
 		cfg.IDPrefix = "prm"
 	}
@@ -236,15 +231,14 @@ func (m *Manager) Store() *txn.Store { return m.store }
 // execState carries cross-trust-domain compensation hooks for one request
 // (upstream promises acquired during planning must be released if the local
 // transaction aborts, and upstream releases must run only after it commits)
-// plus metric deltas that apply only if the attempt commits — a deadlock
-// retry must not double-count.
+// plus metric deltas that apply only if the transaction commits.
 type execState struct {
 	undoUpstream []func()
 	postCommit   []func()
 	released     int64
 	expired      int64
 	preempted    int64
-	// events records the attempt's lifecycle transitions; they publish on
+	// events records the request's lifecycle transitions; they publish on
 	// the shared bus only after the transaction commits.
 	events []Event
 	// sweptDue are the expiry-heap entries the request-path due check
@@ -257,10 +251,11 @@ type execState struct {
 // requests, runs its action under its promise environment, applies release
 // options atomically with action success, and performs the post-action
 // promise check — all inside a single ACID transaction, exactly as §8
-// prescribes. Deadlocks between concurrent requests are retried internally.
+// prescribes. The store admits one transaction at a time, so concurrent
+// requests run one after another and never deadlock.
 //
-// The context bounds the whole call: cancellation is honoured before each
-// attempt (a dead client never starts a transaction) and propagates to
+// The context bounds the whole call: cancellation is honoured before the
+// transaction starts (a dead client never starts one) and propagates to
 // upstream supplier calls made while planning. Work already committed is
 // never undone by a late cancellation.
 func (m *Manager) Execute(ctx context.Context, req Request) (*Response, error) {
@@ -275,38 +270,23 @@ func (m *Manager) Execute(ctx context.Context, req Request) (*Response, error) {
 	if err := m.resolveAction(&req); err != nil {
 		return nil, err
 	}
-	start := m.clk.Now()
-	var lastErr error
-	for attempt := 0; attempt < m.cfg.MaxRetries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		resp, err := m.executeOnce(ctx, req)
-		if err == nil {
-			m.observeExecute(start, resp)
-			switch {
-			case resp.ActionErr == nil:
-			case errors.Is(resp.ActionErr, ErrPromiseViolated):
-				m.metrics.violations.Inc()
-			default:
-				m.metrics.actionErrors.Inc()
-			}
-			return resp, nil
-		}
-		if !errors.Is(err, txn.ErrDeadlock) {
-			return nil, err
-		}
-		m.metrics.deadlocks.Inc()
-		lastErr = err
-		// Deadlock victims back off with jitter so retrying requests do
-		// not collide in lockstep.
-		shift := attempt
-		if shift > 8 {
-			shift = 8
-		}
-		time.Sleep(time.Duration(rand.Intn(1<<shift+1)) * 50 * time.Microsecond)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: request kept deadlocking after %d attempts: %w", m.cfg.MaxRetries, lastErr)
+	start := m.clk.Now()
+	resp, err := m.execute(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	m.observeExecute(start, resp)
+	switch {
+	case resp.ActionErr == nil:
+	case errors.Is(resp.ActionErr, ErrPromiseViolated):
+		m.metrics.violations.Inc()
+	default:
+		m.metrics.actionErrors.Inc()
+	}
+	return resp, nil
 }
 
 // resolveAction materialises req.ActionName through the configured resolver
@@ -330,7 +310,7 @@ func (m *Manager) resolveAction(req *Request) error {
 	return nil
 }
 
-func (m *Manager) executeOnce(ctx context.Context, req Request) (_ *Response, err error) {
+func (m *Manager) execute(ctx context.Context, req Request) (_ *Response, err error) {
 	tx := m.store.Begin(txn.Block)
 	st := &execState{}
 	committed := false
@@ -341,7 +321,7 @@ func (m *Manager) executeOnce(ctx context.Context, req Request) (_ *Response, er
 		if !tx.Done() {
 			_ = tx.Abort()
 		}
-		// Compensate upstream promises acquired during this attempt.
+		// Compensate upstream promises acquired during this request.
 		for i := len(st.undoUpstream) - 1; i >= 0; i-- {
 			st.undoUpstream[i]()
 		}
@@ -373,14 +353,6 @@ func (m *Manager) executeOnce(ctx context.Context, req Request) (_ *Response, er
 		evMark := len(st.events)
 		result, aerr := runAction(req.Action, tx, m.rm)
 		if aerr != nil {
-			// A deadlock inside the action is a transaction-level event,
-			// not an application failure: bubble it up so Execute retries
-			// the whole request (actions must therefore be deterministic
-			// functions of transaction state, which PM-unaware services
-			// are by construction).
-			if errors.Is(aerr, txn.ErrDeadlock) {
-				return nil, aerr
-			}
 			// Action failed: undo its changes; promises in the environment
 			// remain in force (§4: "if the purchase fails … then the
 			// promise should remain in force").

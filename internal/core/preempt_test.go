@@ -28,7 +28,7 @@ func newPreemptManager(t *testing.T, shards int) (preemptEngine, *clock.Fake) {
 	t.Helper()
 	fake := clock.NewFake(time.Date(2007, 1, 7, 0, 0, 0, 0, time.UTC))
 	if shards > 1 {
-		m, err := NewSharded(ShardedConfig{Shards: shards, Clock: fake, DefaultDuration: time.Hour})
+		m, err := NewSharded(ShardedConfig{Shards: shards, Config: Config{Clock: fake, DefaultDuration: time.Hour}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestPreemptedEventOnWatch(t *testing.T) {
 // the spot holds back untouched.
 func TestFedAbortRestoresPreemptionVictims(t *testing.T) {
 	fake := clock.NewFake(time.Date(2007, 1, 7, 0, 0, 0, 0, time.UTC))
-	m, err := NewSharded(ShardedConfig{Shards: testShards(8), Clock: fake, DefaultDuration: time.Hour})
+	m, err := NewSharded(ShardedConfig{Shards: testShards(8), Config: Config{Clock: fake, DefaultDuration: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}

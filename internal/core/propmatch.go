@@ -1,13 +1,9 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/matching"
 	"repro/internal/predicate"
 	"repro/internal/resource"
-	"repro/internal/softlock"
-	"repro/internal/txn"
 )
 
 // This file is the property-grant fast path: a persistent, incrementally
@@ -33,20 +29,18 @@ import (
 //
 // Maintenance is the existing commit hook (candidates.go onCommit): the
 // same touched-key triggers that keep the pre-filter counts fresh also keep
-// these structures fresh, under pm.mu.
+// these structures fresh.
 //
 // Consistency argument. The fast path may only run when its state provably
 // equals what the transaction would read:
 //
-//  1. Freshness. The planner first takes table-level S locks on instances,
-//     soft locks and promises — the very locks the slow path's Scans take,
-//     with identical conflict and deadlock behaviour. Strict 2PL then
-//     guarantees no concurrent transaction holds uncommitted writes in
-//     those tables, and every prior committer has finished publishing: the
-//     commit hook (which maintains propMatcher) runs inside Commit before
-//     any lock is released (txn.Tx.LockShared documents this contract). So
-//     once the S locks are held, propMatcher reflects exactly the committed
-//     state of the three tables.
+//  1. Freshness. The store admits one writer, and the planner runs inside
+//     the transaction that holds it, so no other transaction has
+//     uncommitted writes. The commit hook that maintains propMatcher runs
+//     inside Commit, before the writer is released, so every earlier
+//     committer has finished updating it. propMatcher therefore reflects
+//     exactly the committed state of the instance, soft-lock and promise
+//     tables.
 //  2. Own writes. The gate requires tx.Writes() == 0, so the transaction's
 //     view of those tables IS the committed state — there is nothing
 //     propMatcher could fail to see. Releases applied earlier in the
@@ -69,12 +63,10 @@ import (
 //     accept/reject verdict (the solver may pick a different saturating
 //     assignment, which §5 explicitly allows — tentative allocations are
 //     the manager's to rearrange).
+//
+// propMatcher needs no mutex of its own: the commit hook writes it and the
+// planners read it, and both run only while holding the store's writer.
 type propMatcher struct {
-	// mu guards everything below. The commit hook takes it for writing;
-	// planners take it for reading while holding the three table S locks
-	// (which is what makes the read *semantically* fresh, not just
-	// race-free).
-	mu        sync.RWMutex
 	slots     map[string]*slotEntry // slot key -> entry
 	slotList  []*slotEntry
 	byPromise map[string][]*slotEntry // promise id -> its slot entries
@@ -120,12 +112,11 @@ func (pm *propMatcher) init() {
 	pm.byValue = make(map[string]map[predicate.Value]map[string]*candEntry)
 }
 
-// updatePromiseSlotsLocked replaces every slot entry of promise pid with the
-// row's current shape (p nil or non-active removes them). Caller holds
-// pm.mu for writing.
-func (pm *propMatcher) updatePromiseSlotsLocked(pid string, p *Promise) {
+// updatePromiseSlots replaces every slot entry of promise pid with the
+// row's current shape (p nil or non-active removes them).
+func (pm *propMatcher) updatePromiseSlots(pid string, p *Promise) {
 	for _, se := range pm.byPromise[pid] {
-		pm.removeSlotLocked(se)
+		pm.removeSlot(se)
 	}
 	delete(pm.byPromise, pid)
 	if p == nil || p.State != Active {
@@ -155,7 +146,7 @@ func (pm *propMatcher) updatePromiseSlotsLocked(pid string, p *Promise) {
 	}
 }
 
-func (pm *propMatcher) removeSlotLocked(se *slotEntry) {
+func (pm *propMatcher) removeSlot(se *slotEntry) {
 	last := len(pm.slotList) - 1
 	moved := pm.slotList[last]
 	pm.slotList[se.pos] = moved
@@ -164,16 +155,15 @@ func (pm *propMatcher) removeSlotLocked(se *slotEntry) {
 	delete(pm.slots, se.key)
 }
 
-// updateCandLocked folds one instance's re-classification into the
-// candidate structures. Caller holds pm.mu for writing. The contribution
-// changed (candRecompute only calls on change), so any cached edge verdict
-// may be stale: the cache is dropped and the row pointer refreshed even
-// when the instance stays hostable.
-func (pm *propMatcher) updateCandLocked(id string, hostable, tentative bool, inst *resource.Instance) {
+// updateCand folds one instance's re-classification into the candidate
+// structures. The contribution changed (candRecompute only calls on
+// change), so any cached edge verdict may be stale: the cache is dropped
+// and the row pointer refreshed even when the instance stays hostable.
+func (pm *propMatcher) updateCand(id string, hostable, tentative bool, inst *resource.Instance) {
 	ce := pm.cands[id]
 	if !hostable {
 		if ce != nil {
-			pm.unindexCandLocked(ce)
+			pm.unindexCand(ce)
 			last := len(pm.candList) - 1
 			moved := pm.candList[last]
 			pm.candList[ce.pos] = moved
@@ -188,7 +178,7 @@ func (pm *propMatcher) updateCandLocked(id string, hostable, tentative bool, ins
 		pm.candList = append(pm.candList, ce)
 		pm.cands[id] = ce
 	} else {
-		pm.unindexCandLocked(ce)
+		pm.unindexCand(ce)
 	}
 	ce.inst = inst
 	ce.tentative = tentative
@@ -208,7 +198,7 @@ func (pm *propMatcher) updateCandLocked(id string, hostable, tentative bool, ins
 	}
 }
 
-func (pm *propMatcher) unindexCandLocked(ce *candEntry) {
+func (pm *propMatcher) unindexCand(ce *candEntry) {
 	for k, v := range ce.inst.Props {
 		pv := pm.byValue[k]
 		set := pv[v]
@@ -276,20 +266,12 @@ func (pm *propMatcher) indexCandidates(e predicate.Expr) (map[string]*candEntry,
 
 // planPropertyFast serves an all-property, no-release grant from the
 // persistent matcher state, filling plan's assignments and reallocations.
-// It reports whether the predicates are jointly satisfiable; the
-// consistency preconditions (tx.Writes() == 0, MatchingMode) are the
-// caller's, the freshness locks are taken here. See the file comment for
-// why the verdict is exactly the slow path's.
-func (m *Manager) planPropertyFast(tx *txn.Tx, preds []Predicate, plan *grantPlan) (bool, error) {
-	// The same three table S locks the slow path's scans acquire, in the
-	// same order (instances, soft locks, promises).
-	for _, tbl := range []string{resource.TableInstances, softlock.Table, TablePromises} {
-		if err := tx.LockShared(tbl); err != nil {
-			return false, err
-		}
-	}
+// It reports whether the predicates are jointly satisfiable. The
+// consistency preconditions (called inside a transaction with
+// tx.Writes() == 0, MatchingMode) are the caller's. See the file comment
+// for why the verdict is exactly the slow path's.
+func (m *Manager) planPropertyFast(preds []Predicate, plan *grantPlan) bool {
 	pm := &m.pmatch
-	pm.mu.RLock()
 	nSlots := len(pm.slotList)
 	nLeft := nSlots + len(preds)
 	nRight := len(pm.candList)
@@ -312,10 +294,9 @@ func (m *Manager) planPropertyFast(tx *txn.Tx, preds []Predicate, plan *grantPla
 		return np.expr, np.exprStr, np.compiled
 	}
 
-	// Eval verdicts computed during this solve (for non-compilable shapes)
-	// are collected locally and folded into the shared cache afterwards —
-	// pm.mu is only held for reading here.
-	fills := make(map[*candEntry]map[string]bool)
+	// Eval verdicts for non-compilable shapes go straight into the shared
+	// cache: the caller holds the writer, so nothing else reads or
+	// invalidates it during the solve.
 	edge := func(l, r int) bool {
 		expr, exprStr, compiled := left(l)
 		ce := pm.candList[r]
@@ -325,19 +306,12 @@ func (m *Manager) planPropertyFast(tx *txn.Tx, preds []Predicate, plan *grantPla
 		if v, ok := ce.edges[exprStr]; ok {
 			return v
 		}
-		if f := fills[ce]; f != nil {
-			if v, ok := f[exprStr]; ok {
-				return v
-			}
-		}
 		ok, err := predicate.Eval(expr, ce.inst.Env())
 		v := err == nil && ok
-		f := fills[ce]
-		if f == nil {
-			f = make(map[string]bool)
-			fills[ce] = f
+		if ce.edges == nil {
+			ce.edges = make(map[string]bool)
 		}
-		f[exprStr] = v
+		ce.edges[exprStr] = v
 		return v
 	}
 
@@ -385,28 +359,7 @@ func (m *Manager) planPropertyFast(tx *txn.Tx, preds []Predicate, plan *grantPla
 			plan.slots[k].assign = pm.candList[assign[nSlots+k]].id
 		}
 	}
-	pm.mu.RUnlock()
-
-	// Fold the new Eval verdicts into the shared cache. The table S locks
-	// are still held, so no commit can have re-classified (and thereby
-	// invalidated) an entry between the solve and this fold; the identity
-	// check is belt and braces.
-	if len(fills) > 0 {
-		pm.mu.Lock()
-		for ce, f := range fills {
-			if pm.cands[ce.id] != ce {
-				continue
-			}
-			if ce.edges == nil {
-				ce.edges = make(map[string]bool, len(f))
-			}
-			for k, v := range f {
-				ce.edges[k] = v
-			}
-		}
-		pm.mu.Unlock()
-	}
-	return sat, nil
+	return sat
 }
 
 // compiledPred is a predicate specialised to direct evaluation over an

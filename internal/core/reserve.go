@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/predicate"
 	"repro/internal/resource"
-	"repro/internal/softlock"
 	"repro/internal/txn"
 )
 
@@ -328,21 +327,14 @@ func (r *Reservation) MigrateIn(p *Promise, inst string) error {
 //
 // When the reservation has written nothing (no releases applied, no sweep
 // activity), the committed state the persistent matcher mirrors is exactly
-// the transaction's view, so the context is served from propmatch.go under
-// the same three table S locks the scans below would take — no row clones,
-// no classification pass. The consistency argument is the file comment of
-// propmatch.go; a reservation that released anything falls back to the
-// scans, which see the tentatively-freed instances.
+// the transaction's view, so the context is served from propmatch.go — no
+// row clones, no classification pass. The consistency argument is the file
+// comment of propmatch.go; a reservation that released anything falls back
+// to the scans, which see the tentatively-freed instances.
 func (r *Reservation) PropertyContext() (*PropertyContext, error) {
 	m := r.m
 	if !m.cfg.disableFastPath && m.cfg.PropertyMode == MatchingMode && r.tx.Writes() == 0 {
-		for _, tbl := range []string{resource.TableInstances, softlock.Table, TablePromises} {
-			if err := r.tx.LockShared(tbl); err != nil {
-				return nil, err
-			}
-		}
 		pm := &m.pmatch
-		pm.mu.RLock()
 		out := &PropertyContext{
 			Slots:      make([]PropertySlot, 0, len(pm.slotList)),
 			Candidates: make([]PropertyCandidate, 0, len(pm.candList)),
@@ -353,7 +345,6 @@ func (r *Reservation) PropertyContext() (*PropertyContext, error) {
 		for _, ce := range pm.candList {
 			out.Candidates = append(out.Candidates, PropertyCandidate{Instance: ce.inst, Tentative: ce.tentative})
 		}
-		pm.mu.RUnlock()
 		return out, nil
 	}
 	slots, err := m.activePropertySlots(r.tx, nil)

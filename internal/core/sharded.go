@@ -187,30 +187,14 @@ var errPrefilterWiden = errors.New("core: pre-filter names a shard outside the h
 // definitively.
 const migrationRetryLimit = 4
 
-// ShardedConfig configures a ShardedManager. The per-shard fields mirror
-// Config; every shard shares the same clock and supplier map.
+// ShardedConfig configures a ShardedManager. The embedded Config applies
+// to every shard, which share one clock and supplier map. Store, Resources
+// and IDPrefix must stay zero: each shard owns a fresh store and issues
+// ids under its own prefix.
 type ShardedConfig struct {
+	Config
 	// Shards is the number of state stripes. Zero means 8.
 	Shards int
-	// Clock drives promise expiry on every shard. Nil uses the system clock.
-	Clock clock.Clock
-	// DefaultDuration, MaxDuration, PropertyMode, DisablePostCheck,
-	// Suppliers, MaxRetries, Actions and ExpiryWarning apply to each shard
-	// as in Config.
-	DefaultDuration  time.Duration
-	MaxDuration      time.Duration
-	PropertyMode     PropertyMode
-	DisablePostCheck bool
-	Suppliers        map[string]Supplier
-	MaxRetries       int
-	Actions          ActionResolver
-	ExpiryWarning    time.Duration
-	// DefaultPriority applies to requests that do not name a tier, as in
-	// Config.DefaultPriority.
-	DefaultPriority int
-	// ReplayRing sizes the shared event bus's replay ring, as in
-	// Config.ReplayRing.
-	ReplayRing int
 	// IDNamespace, when non-empty, prefixes every promise id with
 	// "<namespace>!" — the cluster layer sets it to the node id so ids
 	// issued by different nodes never collide and self-describe their
@@ -222,6 +206,9 @@ type ShardedConfig struct {
 
 // NewSharded creates a ShardedManager with cfg.Shards independent shards.
 func NewSharded(cfg ShardedConfig) (*ShardedManager, error) {
+	if cfg.Store != nil || cfg.Resources != nil || cfg.IDPrefix != "" {
+		return nil, fmt.Errorf("%w: a sharded engine builds its own stores and id prefixes; leave Store, Resources and IDPrefix unset", ErrBadRequest)
+	}
 	n := cfg.Shards
 	if n <= 0 {
 		n = 8
@@ -246,38 +233,28 @@ func NewSharded(cfg ShardedConfig) (*ShardedManager, error) {
 	}
 	for i := 0; i < n; i++ {
 		sh := &managerShard{}
-		m, err := New(Config{
-			Clock:            cfg.Clock,
-			DefaultDuration:  cfg.DefaultDuration,
-			MaxDuration:      cfg.MaxDuration,
-			PropertyMode:     cfg.PropertyMode,
-			DisablePostCheck: cfg.DisablePostCheck,
-			Suppliers:        cfg.Suppliers,
-			MaxRetries:       cfg.MaxRetries,
-			Actions:          cfg.Actions,
-			IDPrefix:         fmt.Sprintf("%s%s%d", ns, shardIDPrefix, i),
-			ExpiryWarning:    cfg.ExpiryWarning,
-			DefaultPriority:  cfg.DefaultPriority,
-			bus:              s.bus,
-			// Composite members never join a shard-local victim set: a
-			// composite promise is displaced whole or not at all, and only
-			// the coordinator sees the whole. dirMu is a leaf lock, safe
-			// to take under any shard lock.
-			preemptFilter: func(id string) bool {
-				s.dirMu.Lock()
-				_, part := s.partOf[id]
-				s.dirMu.Unlock()
-				return !part
-			},
-			// Deadline-driven expiry mutates the shard's store, so it runs
-			// under the shard's write lock like any other mutation — the
-			// reserve/confirm pipeline's sole-user invariant holds.
-			gate: func(run func()) {
-				sh.mu.Lock()
-				defer sh.mu.Unlock()
-				run()
-			},
-		})
+		shardCfg := cfg.Config
+		shardCfg.IDPrefix = fmt.Sprintf("%s%s%d", ns, shardIDPrefix, i)
+		shardCfg.bus = s.bus
+		// Composite members never join a shard-local victim set: a
+		// composite promise is displaced whole or not at all, and only the
+		// coordinator sees the whole. dirMu is a leaf lock, safe to take
+		// under any shard lock.
+		shardCfg.preemptFilter = func(id string) bool {
+			s.dirMu.Lock()
+			_, part := s.partOf[id]
+			s.dirMu.Unlock()
+			return !part
+		}
+		// Deadline-driven expiry mutates the shard's store, so it runs under
+		// the shard's write lock like any other mutation — the
+		// reserve/confirm pipeline's sole-user invariant holds.
+		shardCfg.gate = func(run func()) {
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			run()
+		}
+		m, err := New(shardCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -1854,19 +1831,18 @@ func (s *ShardedManager) ActivePromises() ([]Promise, error) {
 // instead of silent.
 func (s *ShardedManager) Stats() Stats {
 	type capture struct {
-		epoch     uint64
-		samples   []time.Duration
-		count     int
-		requests  int64
-		grants    int64
-		reject    int64
-		releases  int64
-		expire    int64
-		preempt   int64
-		violate   int64
-		actErrs   int64
-		deadlocks int64
-		expErrs   int64
+		epoch    uint64
+		samples  []time.Duration
+		count    int
+		requests int64
+		grants   int64
+		reject   int64
+		releases int64
+		expire   int64
+		preempt  int64
+		violate  int64
+		actErrs  int64
+		expErrs  int64
 	}
 	caps := make([]capture, len(s.shards))
 	// Phase 1 — capture: nothing but copies, so the cross-shard skew
@@ -1874,19 +1850,18 @@ func (s *ShardedManager) Stats() Stats {
 	for i, sh := range s.shards {
 		mm := &sh.m.metrics
 		caps[i] = capture{
-			epoch:     sh.m.store.Snapshot().Epoch(),
-			samples:   mm.latency.Samples(),
-			count:     mm.latency.Count(),
-			requests:  mm.requests.Value(),
-			grants:    mm.grants.Value(),
-			reject:    mm.rejections.Value(),
-			releases:  mm.releases.Value(),
-			expire:    mm.expirations.Value(),
-			preempt:   mm.preemptions.Value(),
-			violate:   mm.violations.Value(),
-			actErrs:   mm.actionErrors.Value(),
-			deadlocks: mm.deadlocks.Value(),
-			expErrs:   mm.expiryErrors.Value(),
+			epoch:    sh.m.store.Snapshot().Epoch(),
+			samples:  mm.latency.Samples(),
+			count:    mm.latency.Count(),
+			requests: mm.requests.Value(),
+			grants:   mm.grants.Value(),
+			reject:   mm.rejections.Value(),
+			releases: mm.releases.Value(),
+			expire:   mm.expirations.Value(),
+			preempt:  mm.preemptions.Value(),
+			violate:  mm.violations.Value(),
+			actErrs:  mm.actionErrors.Value(),
+			expErrs:  mm.expiryErrors.Value(),
 		}
 	}
 	// Phase 2 — merge and summarize from the captured copies.
@@ -1916,7 +1891,6 @@ func (s *ShardedManager) Stats() Stats {
 		out.Preemptions += c.preempt
 		out.Violations += c.violate
 		out.ActionErrors += c.actErrs
-		out.DeadlockRetries += c.deadlocks
 		out.ExpiryErrors += c.expErrs
 		out.PerShard = append(out.PerShard, st)
 		if st.Requests > maxRequests {

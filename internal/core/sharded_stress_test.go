@@ -22,7 +22,7 @@ func TestShardedStressConservation(t *testing.T) {
 		numPools = 6
 		perPool  = 1 << 20
 	)
-	s, err := NewSharded(ShardedConfig{Shards: testShards(4), Clock: nil, DefaultDuration: time.Hour})
+	s, err := NewSharded(ShardedConfig{Shards: testShards(4), Config: Config{Clock: nil, DefaultDuration: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestShardedStressUpgradeChurn(t *testing.T) {
 		iters   = 120
 		hold    = 3
 	)
-	s, err := NewSharded(ShardedConfig{Shards: testShards(4), DefaultDuration: time.Hour})
+	s, err := NewSharded(ShardedConfig{Shards: testShards(4), Config: Config{DefaultDuration: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestShardedStressNoDoubleGrant(t *testing.T) {
 		iters     = 200
 		instances = 16
 	)
-	s, err := NewSharded(ShardedConfig{Shards: testShards(4), DefaultDuration: time.Hour})
+	s, err := NewSharded(ShardedConfig{Shards: testShards(4), Config: Config{DefaultDuration: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -694,7 +694,7 @@ func TestShardedGrantBatch(t *testing.T) {
 }
 
 func TestShardedExpirySweepAcrossShards(t *testing.T) {
-	s, fake := newShardedT(t, ShardedConfig{DefaultDuration: time.Minute})
+	s, fake := newShardedT(t, ShardedConfig{Config: Config{DefaultDuration: time.Minute}})
 	a := nameOnShard(t, s, 0, "ttl-a")
 	b := nameOnShard(t, s, 1, "ttl-b")
 	mustPool(t, s, a, 10)

@@ -26,7 +26,7 @@ import (
 // PromiseInfo, ActivePromises, Stats, Audit, PoolLevel, listings — still
 // completes, because none of them acquires a shard lock.
 func TestReadPathsCompleteUnderHeldWriteLocks(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{Shards: 4, DefaultDuration: time.Hour})
+	s, _ := newShardedT(t, ShardedConfig{Shards: 4, Config: Config{DefaultDuration: time.Hour}})
 	mustPool(t, s, "lp", 100)
 	pr := grantQty(t, s, "c", Quantity("lp", 5))
 	if !pr.Accepted {
@@ -100,7 +100,7 @@ func TestReadPathsCompleteUnderHeldWriteLocks(t *testing.T) {
 // forever, the post-migration read shows the new placement, and at no
 // point does any reader observe a torn in-between.
 func TestSnapshotShowsPreOrPostMigrationNeverTorn(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{Shards: 4, DefaultDuration: time.Hour})
+	s, _ := newShardedT(t, ShardedConfig{Shards: 4, Config: Config{DefaultDuration: time.Hour}})
 	x := nameOnShard(t, s, 0, "snap-x")
 	y := nameOnShard(t, s, 2, "snap-y")
 	for _, id := range []string{x, y} {
@@ -161,7 +161,7 @@ func TestSnapshotShowsPreOrPostMigrationNeverTorn(t *testing.T) {
 // consistent answer (usable promise with intact shape, or a precise
 // lifecycle sentinel), never an internal error or a torn promise.
 func TestConcurrentReadersDuringMigrationChurn(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{Shards: 4, DefaultDuration: time.Hour})
+	s, _ := newShardedT(t, ShardedConfig{Shards: 4, Config: Config{DefaultDuration: time.Hour}})
 	x := nameOnShard(t, s, 1, "churn-x")
 	y := nameOnShard(t, s, 3, "churn-y")
 	for _, id := range []string{x, y} {
@@ -336,7 +336,7 @@ func TestSnapshotEpochTracksBusSeq(t *testing.T) {
 // reserves only that shard — the other shards see no reservation traffic
 // at all — and the skip counter surfaces in Stats.
 func TestPrefilterSkewedPlacementSkipsShards(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{Shards: 8, DefaultDuration: time.Hour})
+	s, _ := newShardedT(t, ShardedConfig{Shards: 8, Config: Config{DefaultDuration: time.Hour}})
 	host := 3
 	for i := 0; i < 6; i++ {
 		id := nameOnShard(t, s, host, fmt.Sprintf("skew-%d", i))
@@ -388,7 +388,7 @@ func TestPrefilterSkewedPlacementSkipsShards(t *testing.T) {
 // shards whose hostable instances cannot satisfy the requested values are
 // skipped even though they are not empty.
 func TestPrefilterValuePruning(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{Shards: 4, DefaultDuration: time.Hour})
+	s, _ := newShardedT(t, ShardedConfig{Shards: 4, Config: Config{DefaultDuration: time.Hour}})
 	// Shard 1 hosts tier=1 instances, shard 2 hosts tier=2 instances.
 	for i := 0; i < 2; i++ {
 		id := nameOnShard(t, s, 1, fmt.Sprintf("vp1-%d", i))
@@ -434,7 +434,7 @@ func (c noAlarmClock) Now() time.Time { return c.f.Now() }
 // past that instant.
 func TestPrefilterSeesThroughExpiredPins(t *testing.T) {
 	fake := clock.NewFake(time.Date(2007, 1, 7, 0, 0, 0, 0, time.UTC))
-	s, err := NewSharded(ShardedConfig{Shards: 4, Clock: noAlarmClock{f: fake}, DefaultDuration: time.Hour})
+	s, err := NewSharded(ShardedConfig{Shards: 4, Config: Config{Clock: noAlarmClock{f: fake}, DefaultDuration: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestPrefilterSeesThroughExpiredPins(t *testing.T) {
 // (Eval goes through Value.Equal, not Compare), so the value-pruning tier
 // must not exclude the shard holding such an instance.
 func TestPrefilterNeqKindMismatch(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{Shards: 4, DefaultDuration: time.Hour})
+	s, _ := newShardedT(t, ShardedConfig{Shards: 4, Config: Config{DefaultDuration: time.Hour}})
 	inst := nameOnShard(t, s, 1, "neq")
 	// color is a string; the predicate compares it to an int literal.
 	if err := s.CreateInstance(inst, map[string]predicate.Value{"color": predicate.Str("blue")}); err != nil {
@@ -517,7 +517,7 @@ func runPrefilterEquivalence(t *testing.T, shards int, seed64 int64) {
 	// The "on" engine runs every optimisation; accept/reject decisions,
 	// lifecycle sentinels and pool levels must still be identical.
 	mkEngine := func(disable bool) *ShardedManager {
-		s, err := NewSharded(ShardedConfig{Shards: shards, Clock: fake, DefaultDuration: time.Hour})
+		s, err := NewSharded(ShardedConfig{Shards: shards, Config: Config{Clock: fake, DefaultDuration: time.Hour}})
 		if err != nil {
 			t.Fatal(err)
 		}

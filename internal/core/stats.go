@@ -17,7 +17,6 @@ type managerMetrics struct {
 	preemptions  metrics.Counter
 	violations   metrics.Counter
 	actionErrors metrics.Counter
-	deadlocks    metrics.Counter // internal deadlock retries
 	expiryErrors metrics.Counter // failed deadline-alarm expiry passes
 	requests     metrics.Counter
 	latency      metrics.Histogram
@@ -41,7 +40,9 @@ type Stats struct {
 	Violations int64
 	// ActionErrors counts actions that failed on their own.
 	ActionErrors int64
-	// DeadlockRetries counts internal transaction retries.
+	// DeadlockRetries is always 0: each store admits one transaction at a
+	// time, so requests never deadlock and are never retried. The field
+	// stays for callers that still read it.
 	DeadlockRetries int64
 	// ExpiryErrors counts deadline-alarm expiry passes that failed and were
 	// re-armed on a backoff; a non-zero steady climb means promises are not
@@ -87,9 +88,9 @@ type ShardStat struct {
 // String renders the snapshot on one line (plus shard balance when sharded).
 func (s Stats) String() string {
 	out := fmt.Sprintf(
-		"requests=%d grants=%d rejections=%d releases=%d expirations=%d violations=%d actionErrs=%d deadlockRetries=%d p50=%v p99=%v",
+		"requests=%d grants=%d rejections=%d releases=%d expirations=%d violations=%d actionErrs=%d p50=%v p99=%v",
 		s.Requests, s.Grants, s.Rejections, s.Releases, s.Expirations,
-		s.Violations, s.ActionErrors, s.DeadlockRetries, s.Latency.P50, s.Latency.P99)
+		s.Violations, s.ActionErrors, s.Latency.P50, s.Latency.P99)
 	if s.Preemptions > 0 {
 		out += fmt.Sprintf(" preemptions=%d", s.Preemptions)
 	}
@@ -108,17 +109,16 @@ func (s Stats) String() string {
 // Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() Stats {
 	return Stats{
-		Requests:        m.metrics.requests.Value(),
-		Grants:          m.metrics.grants.Value(),
-		Rejections:      m.metrics.rejections.Value(),
-		Releases:        m.metrics.releases.Value(),
-		Expirations:     m.metrics.expirations.Value(),
-		Preemptions:     m.metrics.preemptions.Value(),
-		Violations:      m.metrics.violations.Value(),
-		ActionErrors:    m.metrics.actionErrors.Value(),
-		DeadlockRetries: m.metrics.deadlocks.Value(),
-		ExpiryErrors:    m.metrics.expiryErrors.Value(),
-		Latency:         m.metrics.latency.Summarize(),
+		Requests:     m.metrics.requests.Value(),
+		Grants:       m.metrics.grants.Value(),
+		Rejections:   m.metrics.rejections.Value(),
+		Releases:     m.metrics.releases.Value(),
+		Expirations:  m.metrics.expirations.Value(),
+		Preemptions:  m.metrics.preemptions.Value(),
+		Violations:   m.metrics.violations.Value(),
+		ActionErrors: m.metrics.actionErrors.Value(),
+		ExpiryErrors: m.metrics.expiryErrors.Value(),
+		Latency:      m.metrics.latency.Summarize(),
 	}
 }
 

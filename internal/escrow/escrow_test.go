@@ -236,30 +236,19 @@ func TestConcurrentReservationsRespectCapacity(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			for {
-				tx := store.Begin(txn.Block)
-				err := l.Reserve(tx, "w", holderName(c), 1)
-				if err == nil {
-					if err = tx.Commit(); err == nil {
-						mu.Lock()
-						succeeded++
-						mu.Unlock()
-						return
-					}
-				} else {
-					_ = tx.Abort()
-				}
-				if errors.Is(err, ErrInsufficient) {
-					return
-				}
-				if errors.Is(err, txn.ErrDeadlock) || errors.Is(err, txn.ErrWouldBlock) {
-					continue // retry
-				}
-				if err != nil {
+			tx := store.Begin(txn.Block)
+			err := l.Reserve(tx, "w", holderName(c), 1)
+			if err != nil {
+				_ = tx.Abort()
+				if !errors.Is(err, ErrInsufficient) {
 					t.Errorf("client %d: %v", c, err)
-					return
 				}
+				return
 			}
+			_ = tx.Commit()
+			mu.Lock()
+			succeeded++
+			mu.Unlock()
 		}(c)
 	}
 	wg.Wait()

@@ -59,6 +59,7 @@ func e5Named(n int) (float64, error) {
 	tx := m.Store().Begin(txn.Block)
 	for i := 0; i < n+20; i++ {
 		if err := m.Resources().CreateInstance(tx, fmt.Sprintf("i%06d", i), nil); err != nil {
+			_ = tx.Abort()
 			return 0, err
 		}
 	}
@@ -107,6 +108,7 @@ func e5Property(n int) (float64, error) {
 	for i := 0; i < n+20; i++ {
 		props := map[string]predicate.Value{"slot": predicate.Int(int64(i))}
 		if err := m.Resources().CreateInstance(tx, fmt.Sprintf("r%06d", i), props); err != nil {
+			_ = tx.Abort()
 			return 0, err
 		}
 	}
@@ -252,6 +254,7 @@ func e7Run(rooms, trials int, mode core.PropertyMode) (granted, offered int, err
 				props["floor"] = predicate.Int(5)
 			}
 			if err := m.Resources().CreateInstance(tx, fmt.Sprintf("room-%03d", i), props); err != nil {
+				_ = tx.Abort()
 				return 0, 0, err
 			}
 		}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/service"
 	"repro/internal/transport"
-	"repro/internal/txn"
 )
 
 // RunE8 — atomic promise modification vs naive release-then-request.
@@ -154,12 +153,10 @@ func RunE9(quick bool) (*Table, error) {
 			}
 		}
 		// Final invariant: on-hand must cover the outstanding promise.
-		tx := m.Store().Begin(txn.Block)
-		p, err := m.Resources().Pool(tx, "stock")
+		p, err := m.Resources().Pool(m.Store().Snapshot(), "stock")
 		if err != nil {
 			return nil, err
 		}
-		_ = tx.Commit()
 		invariant := "HELD"
 		if p.OnHand < 80 {
 			invariant = fmt.Sprintf("BROKEN (on hand %d < promised 80)", p.OnHand)
@@ -328,12 +325,7 @@ func RunE11(quick bool) (*Table, error) {
 		}
 		per := float64(time.Since(start).Microseconds()) / float64(k)
 		// Count upstream promise traffic at the deepest tier.
-		var upstream int
-		all, err := allPromiseCount(managers[depth])
-		if err != nil {
-			return nil, err
-		}
-		upstream = all
+		upstream := allPromiseCount(managers[depth])
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%d", depth),
 			fmt.Sprintf("%v", ok),
@@ -346,17 +338,7 @@ func RunE11(quick bool) (*Table, error) {
 }
 
 // allPromiseCount counts every promise row (any state) in m's tables.
-func allPromiseCount(m *core.Manager) (int, error) {
-	tx := m.Store().Begin(txn.Block)
-	defer tx.Commit()
-	n := 0
-	for _, tbl := range []string{core.TablePromises, core.TablePromisesDone} {
-		if err := tx.Scan(tbl, func(string, txn.Row) bool {
-			n++
-			return true
-		}); err != nil {
-			return 0, err
-		}
-	}
-	return n, nil
+func allPromiseCount(m *core.Manager) int {
+	snap := m.Store().Snapshot()
+	return snap.Len(core.TablePromises) + snap.Len(core.TablePromisesDone)
 }

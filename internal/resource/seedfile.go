@@ -144,15 +144,15 @@ func (m *Manager) LoadSeed(r io.Reader) (pools, instances int, err error) {
 // DumpSeed writes the manager's current pools and instances as a seed
 // file, so a deployment's resource state can be captured and re-seeded.
 // Allocation state (promised/taken tags) is deliberately not serialised:
-// a seed file describes resources, not in-flight promises.
+// a seed file describes resources, not in-flight promises. It reads the
+// latest committed snapshot, so it never waits for or blocks a writer.
 func (m *Manager) DumpSeed(w io.Writer) error {
-	tx := m.store.Begin(txn.Block)
-	defer tx.Commit()
-	pools, err := m.Pools(tx)
+	snap := m.store.Snapshot()
+	pools, err := m.Pools(snap)
 	if err != nil {
 		return err
 	}
-	instances, err := m.Instances(tx)
+	instances, err := m.Instances(snap)
 	if err != nil {
 		return err
 	}

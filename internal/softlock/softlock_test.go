@@ -262,28 +262,17 @@ func TestConcurrentAcquireSingleWinner(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			name := "c" + string(rune('0'+c%10)) + string(rune('a'+c/10))
-			for {
-				tx := store.Begin(txn.Block)
-				err := tags.Acquire(tx, "unique", name)
-				if err == nil {
-					if err = tx.Commit(); err == nil {
-						winners <- name
-						return
-					}
-				} else {
-					_ = tx.Abort()
-				}
-				if errors.Is(err, ErrAlreadyAllocated) {
-					return
-				}
-				if errors.Is(err, txn.ErrDeadlock) || errors.Is(err, txn.ErrWouldBlock) {
-					continue
-				}
-				if err != nil {
+			tx := store.Begin(txn.Block)
+			err := tags.Acquire(tx, "unique", name)
+			if err != nil {
+				_ = tx.Abort()
+				if !errors.Is(err, ErrAlreadyAllocated) {
 					t.Errorf("client %s: %v", name, err)
-					return
 				}
+				return
 			}
+			_ = tx.Commit()
+			winners <- name
 		}(c)
 	}
 	wg.Wait()

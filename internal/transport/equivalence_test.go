@@ -69,7 +69,12 @@ func newWireWorld(t *testing.T, seed int64) *wireWorld {
 	service.RegisterStandard(reg)
 	mk := func() *core.ShardedManager {
 		s, err := core.NewSharded(core.ShardedConfig{
-			Shards: 4, Clock: fake, DefaultDuration: time.Hour, Actions: reg,
+			Shards: 4,
+			Config: core.Config{
+				Clock:           fake,
+				DefaultDuration: time.Hour,
+				Actions:         reg,
+			},
 		})
 		if err != nil {
 			t.Fatal(err)

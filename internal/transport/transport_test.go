@@ -26,12 +26,6 @@ func newTestServer(t *testing.T, seedFn func(m *core.Manager) error) (*httptest.
 		t.Fatal(err)
 	}
 	if seedFn != nil {
-		tx := m.Store().Begin(txn.Block)
-		defer func() {
-			if !tx.Done() {
-				_ = tx.Abort()
-			}
-		}()
 		if err := seedFn(m); err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +312,7 @@ func TestPiggybackedGrantAndAction(t *testing.T) {
 func TestShardedServerConcurrentClients(t *testing.T) {
 	const workers = 8
 	const iters = 25
-	s, err := core.NewSharded(core.ShardedConfig{Shards: 4, DefaultDuration: time.Hour})
+	s, err := core.NewSharded(core.ShardedConfig{Shards: 4, Config: core.Config{DefaultDuration: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +432,7 @@ func TestBatchOverHTTP(t *testing.T) {
 func TestBatchOverHTTPSharded(t *testing.T) {
 	// The same envelope against a sharded engine: cross-shard batch entries
 	// come back as composite promises and check correctly.
-	s, err := core.NewSharded(core.ShardedConfig{Shards: 4, DefaultDuration: time.Hour})
+	s, err := core.NewSharded(core.ShardedConfig{Shards: 4, Config: core.Config{DefaultDuration: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package txn
 
 // Savepoint marks the current position in the transaction's undo log.
 // RollbackTo(mark) undoes every write made after the mark while keeping the
-// transaction (and all its locks) alive.
+// transaction (and the store's writer) alive.
 //
 // The promise manager uses savepoints to implement §8 faithfully: when an
 // application action violates promises, "the promise manager will roll back
@@ -14,9 +14,9 @@ type Savepoint int
 // Savepoint returns a mark for the current undo position.
 func (t *Tx) Savepoint() Savepoint { return Savepoint(len(t.undo)) }
 
-// RollbackTo undoes all writes made after mark, in reverse order. Locks
-// are retained (strict two-phase locking releases only at commit/abort).
-// Rolling back to a stale mark (beyond the current log) is a no-op.
+// RollbackTo undoes all writes made after mark, in reverse order. The
+// transaction stays open and keeps the writer. Rolling back to a stale mark
+// (beyond the current log) is a no-op.
 func (t *Tx) RollbackTo(mark Savepoint) error {
 	if t.done {
 		return ErrTxDone
@@ -28,20 +28,6 @@ func (t *Tx) RollbackTo(mark Savepoint) error {
 	if m >= len(t.undo) {
 		return nil
 	}
-	t.store.mu.Lock()
-	for i := len(t.undo) - 1; i >= m; i-- {
-		u := t.undo[i]
-		tab := t.store.tables[u.table]
-		if tab == nil {
-			continue
-		}
-		if u.prev == nil {
-			delete(tab.rows, u.key)
-		} else {
-			tab.rows[u.key] = u.prev.CloneRow()
-		}
-	}
-	t.store.mu.Unlock()
-	t.undo = t.undo[:m]
+	t.undoTo(m)
 	return nil
 }

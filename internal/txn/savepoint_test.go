@@ -71,7 +71,7 @@ func TestSavepointRewriteAfterRollback(t *testing.T) {
 	_ = tx.Commit()
 }
 
-func TestSavepointLocksRetained(t *testing.T) {
+func TestSavepointRollbackKeepsWriter(t *testing.T) {
 	s := newTestStore(t, "t")
 	seed := s.Begin(Block)
 	_ = seed.Put("t", "k", &intRow{n: 1})
@@ -81,13 +81,14 @@ func TestSavepointLocksRetained(t *testing.T) {
 	mark := tx.Savepoint()
 	_ = tx.Put("t", "k", &intRow{n: 2})
 	_ = tx.RollbackTo(mark)
-	// The X lock on k must still be held: another tx cannot read it.
-	other := s.Begin(NoWait)
-	if _, err := other.Get("t", "k"); !errors.Is(err, ErrWouldBlock) {
-		t.Fatalf("lock released by savepoint rollback: %v", err)
+	// Rolling back to a savepoint keeps the transaction open: the store's
+	// writer stays held until Commit.
+	other := mustWait(t, beginAsync(s), func() { _ = tx.Commit() })
+	defer other.Commit()
+	row, err := other.Get("t", "k")
+	if err != nil || row.(*intRow).n != 1 {
+		t.Fatalf("after rollback and commit: %v, %v; want 1", row, err)
 	}
-	_ = other.Abort()
-	_ = tx.Commit()
 }
 
 func TestSavepointStaleAndDoneTx(t *testing.T) {

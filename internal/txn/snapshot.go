@@ -9,8 +9,8 @@ import (
 // transaction publishes a fresh immutable Snapshot of the full table state
 // via an atomic pointer: copy-on-write of only the buckets its writes
 // touched, so publication costs O(touched), not O(table). Readers load the
-// pointer and walk plain maps — no lock-manager traffic, no store mutex,
-// no blocking behind writers. This is the RCU/epoch pattern: writers never
+// pointer and walk plain maps — no store writer, no blocking behind the
+// open transaction. This is the RCU/epoch pattern: writers never
 // wait for readers, readers never wait for writers, and a reader's view is
 // always some committed prefix of history (never a torn mid-transaction
 // state).
@@ -25,7 +25,7 @@ import (
 
 // Reader is the read-only surface shared by *Tx and *Snapshot: both return
 // clones, so code written against Reader runs identically inside a
-// transaction (2PL-isolated) and against a lock-free snapshot.
+// transaction (as the store's sole writer) and against a lock-free snapshot.
 type Reader interface {
 	// Get returns a clone of the row at (tbl, key), or ErrNotFound.
 	Get(tbl, key string) (Row, error)
@@ -100,7 +100,7 @@ func (s *Snapshot) table(tbl string) (*snapTable, error) {
 	return s.tables[idx], nil
 }
 
-// Get returns a clone of the row at (tbl, key) without acquiring any lock.
+// Get returns a clone of the row at (tbl, key) without taking any lock.
 func (s *Snapshot) Get(tbl, key string) (Row, error) {
 	t, err := s.table(tbl)
 	if err != nil {
@@ -113,8 +113,8 @@ func (s *Snapshot) Get(tbl, key string) (Row, error) {
 	return row.CloneRow(), nil
 }
 
-// Scan visits a clone of every row of tbl in key order without acquiring
-// any lock; returning false stops early.
+// Scan visits a clone of every row of tbl in key order without taking any
+// lock; returning false stops early.
 func (s *Snapshot) Scan(tbl string, fn func(key string, row Row) bool) error {
 	t, err := s.table(tbl)
 	if err != nil {
@@ -160,21 +160,22 @@ func (s *Store) Snapshot() *Snapshot {
 }
 
 // SetEpochSource installs the function that stamps each published
-// snapshot's Epoch (called once per commit, serialized). Configure it
+// snapshot's Epoch (called once per commit, under the writer). Configure it
 // before the store sees concurrent use.
 func (s *Store) SetEpochSource(fn func() uint64) { s.epochFn = fn }
 
 // SetCommitHook installs a function invoked after every snapshot
 // publication with the fresh snapshot and the commit's touched keys.
-// Invocations are serialized in publication order, so the hook can
-// maintain derived indexes incrementally without its own locking.
+// Invocations run under the store's writer, in publication order, so the
+// hook can maintain derived indexes incrementally without its own locking,
+// and anything holding a Tx on the store sees every earlier commit's hook
+// complete.
 // Configure it before the store sees concurrent use.
 func (s *Store) SetCommitHook(fn func(snap *Snapshot, touched []TableKey)) { s.commitHook = fn }
 
-// publishTable publishes a snapshot with tbl added, for CreateTable.
+// publishTable publishes a snapshot with tbl added, for CreateTable. The
+// caller holds the writer.
 func (s *Store) publishTable(tbl string) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
 	prev := s.snap.Load()
 	byName := make(map[string]int, len(prev.byName)+1)
 	for n, i := range prev.byName {
@@ -204,13 +205,10 @@ type tableWork struct {
 }
 
 // publishCommit publishes a snapshot reflecting the calling transaction's
-// committed writes. The caller still holds its X row locks, so the touched
-// rows cannot change underneath the copy; snapMu serializes concurrent
-// publications (2PL guarantees their touched sets are disjoint, so each
-// only needs to fold in its own keys).
+// committed writes. The caller still holds the writer, so no row can change
+// underneath the copy and publications never overlap; each folds in only
+// its own touched keys on top of the previous snapshot.
 func (s *Store) publishCommit(touched []TableKey) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
 	prev := s.snap.Load()
 	next := &Snapshot{
 		version: prev.version + 1,
@@ -221,7 +219,6 @@ func (s *Store) publishCommit(touched []TableKey) {
 	// scan over this small stack array beats any map.
 	var works [8]tableWork
 	nWorks := 0
-	s.mu.RLock()
 	for _, tk := range touched {
 		var w *tableWork
 		for i := 0; i < nWorks; i++ {
@@ -273,7 +270,6 @@ func (s *Store) publishCommit(touched []TableKey) {
 			delete(w.st.buckets[b], tk.Key)
 		}
 	}
-	s.mu.RUnlock()
 	if s.epochFn != nil {
 		next.epoch = s.epochFn()
 	} else {

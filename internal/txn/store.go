@@ -1,3 +1,19 @@
+// Package txn is the local ACID transaction substrate required by the
+// prototype architecture of paper §8: "The solution we adopted here was to
+// wrap each promise operation in a transaction … all accesses to the
+// resource manager, as well as changes to the promise table are
+// transactional, and this gives us the required level of isolation between
+// concurrent activities. Note that the transaction is local to a trust
+// domain and short-duration."
+//
+// A Store admits one writer at a time: Begin takes the store's writer
+// mutex and Commit or Abort releases it, so transactions on one store run
+// serially — the single-threaded-partition design of H-Store (Stonebraker
+// et al., VLDB 2007). Each transaction keeps an undo log for rollback and
+// savepoints, and every commit publishes an immutable snapshot that
+// read-only callers use without waiting for the writer (snapshot.go).
+// Concurrency comes from running many stores side by side (one per shard),
+// not from interleaving transactions inside one.
 package txn
 
 import (
@@ -16,58 +32,65 @@ type Row interface {
 	CloneRow() Row
 }
 
-// ErrNotFound is returned by Get for a missing key.
-var ErrNotFound = errors.New("txn: key not found")
+var (
+	// ErrNotFound is returned by Get for a missing key.
+	ErrNotFound = errors.New("txn: key not found")
+	// ErrTxDone is returned when operating on a committed or aborted
+	// transaction.
+	ErrTxDone = errors.New("txn: transaction already finished")
+)
+
+// WaitPolicy is Begin's argument. A store has one writer, so every Begin
+// waits for it and Block is the only policy; the parameter remains so
+// existing callers compile.
+type WaitPolicy int
+
+// Block waits for the store's writer.
+const Block WaitPolicy = 0
 
 // table holds committed rows.
 type table struct {
 	rows map[string]Row
 }
 
-// Store is an in-memory multi-table store with strict-2PL transactions and
-// undo-log rollback. It models the Resource Manager's storage and the
+// Store is an in-memory multi-table store with single-writer transactions
+// and undo-log rollback. It models the Resource Manager's storage and the
 // promise table of the prototype (§8).
 //
 // Alongside the transactional surface the store maintains a lock-free read
 // path: every commit publishes an immutable versioned Snapshot of the full
 // committed state (see snapshot.go), so read-only callers can observe a
-// consistent view without acquiring a single lock.
+// consistent view without waiting for the writer.
 type Store struct {
-	lm     *LockManager
-	nextTx atomic.Uint64
-
-	mu     sync.RWMutex // guards the tables map and row maps; row access also lock-managed
+	// writer admits one transaction at a time. It guards tables and every
+	// row map, and serializes snapshot publication and the commit hook.
+	writer sync.Mutex
 	tables map[string]*table
 
-	// snap is the latest published snapshot; snapMu serializes
-	// publications. epochFn and commitHook are optional, set before
-	// concurrent use (see SetEpochSource / SetCommitHook).
+	// snap is the latest published snapshot. epochFn and commitHook are
+	// optional, set before concurrent use (see SetEpochSource /
+	// SetCommitHook).
 	snap       atomic.Pointer[Snapshot]
-	snapMu     sync.Mutex
 	epochFn    func() uint64
 	commitHook func(snap *Snapshot, touched []TableKey)
 }
 
 // NewStore returns an empty Store.
 func NewStore() *Store {
-	s := &Store{
-		lm:     NewLockManager(),
-		tables: make(map[string]*table),
-	}
+	s := &Store{tables: make(map[string]*table)}
 	s.snap.Store(&Snapshot{byName: map[string]int{}})
 	return s
 }
 
 // CreateTable registers a table. Creating an existing table is an error so
-// schema typos surface early.
+// schema typos surface early. It waits for the writer like Begin.
 func (s *Store) CreateTable(name string) error {
-	s.mu.Lock()
+	s.writer.Lock()
+	defer s.writer.Unlock()
 	if _, ok := s.tables[name]; ok {
-		s.mu.Unlock()
 		return fmt.Errorf("txn: table %q already exists", name)
 	}
 	s.tables[name] = &table{rows: make(map[string]Row)}
-	s.mu.Unlock()
 	s.publishTable(name)
 	return nil
 }
@@ -78,11 +101,10 @@ type undoRecord struct {
 	prev       Row // nil when key did not exist
 }
 
-// Tx is a transaction. A Tx is used by a single goroutine.
+// Tx is a transaction: the store's sole writer from Begin until Commit or
+// Abort. A Tx is used by a single goroutine.
 type Tx struct {
-	id     uint64
-	store  *Store
-	policy WaitPolicy
+	store *Store
 	// undo records one pre-image per write (not deduplicated per key, so
 	// that savepoint rollback restores intermediate states correctly;
 	// reverse replay makes the earliest pre-image win on full abort).
@@ -90,33 +112,31 @@ type Tx struct {
 	done bool
 }
 
-// Begin starts a transaction with the given wait policy for its locks.
-func (s *Store) Begin(policy WaitPolicy) *Tx {
-	return &Tx{
-		id:     s.nextTx.Add(1),
-		store:  s,
-		policy: policy,
-	}
+// Begin waits until the store has no open transaction and starts one. The
+// policy argument is vestigial (see WaitPolicy).
+//
+// Every transaction must end in Commit or Abort: an abandoned Tx blocks
+// every later Begin on the store. Two rules keep callers deadlock-free:
+//
+//   - Lock order: a caller that also holds an outer lock (a shard mutex)
+//     takes it before Begin, never while holding a Tx.
+//   - No re-entry: a goroutine holding a Tx must not Begin again on the
+//     same store, directly or through code it calls. Suppliers and actions
+//     must therefore never call back into the engine that runs them.
+func (s *Store) Begin(WaitPolicy) *Tx {
+	s.writer.Lock()
+	return &Tx{store: s}
 }
 
-// ID returns the transaction identifier (used by baseline lock experiments).
-func (t *Tx) ID() uint64 { return t.id }
-
-func tableLock(tbl string) string    { return "tbl/" + tbl }
-func rowLock(tbl, key string) string { return "row/" + tbl + "/" + key }
-
 func (t *Tx) lookupTable(name string) (*table, error) {
-	t.store.mu.RLock()
 	tbl := t.store.tables[name]
-	t.store.mu.RUnlock()
 	if tbl == nil {
 		return nil, fmt.Errorf("txn: no such table %q", name)
 	}
 	return tbl, nil
 }
 
-// Get returns a clone of the row at (tbl, key), taking IS on the table and
-// S on the row.
+// Get returns a clone of the row at (tbl, key).
 func (t *Tx) Get(tbl, key string) (Row, error) {
 	if t.done {
 		return nil, ErrTxDone
@@ -125,23 +145,15 @@ func (t *Tx) Get(tbl, key string) (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := t.store.lm.Acquire(t.id, tableLock(tbl), IS, t.policy); err != nil {
-		return nil, err
-	}
-	if err := t.store.lm.Acquire(t.id, rowLock(tbl, key), S, t.policy); err != nil {
-		return nil, err
-	}
-	t.store.mu.RLock()
 	row, ok := tab.rows[key]
-	t.store.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, tbl, key)
 	}
 	return row.CloneRow(), nil
 }
 
-// Put stores a clone of row at (tbl, key), taking IX on the table and X on
-// the row, recording an undo pre-image on first touch.
+// Put stores a clone of row at (tbl, key), recording the key's pre-image in
+// the undo log.
 func (t *Tx) Put(tbl, key string, row Row) error {
 	if t.done {
 		return ErrTxDone
@@ -150,15 +162,7 @@ func (t *Tx) Put(tbl, key string, row Row) error {
 	if err != nil {
 		return err
 	}
-	if err := t.store.lm.Acquire(t.id, tableLock(tbl), IX, t.policy); err != nil {
-		return err
-	}
-	if err := t.store.lm.Acquire(t.id, rowLock(tbl, key), X, t.policy); err != nil {
-		return err
-	}
-	t.store.mu.Lock()
-	defer t.store.mu.Unlock()
-	t.recordUndoLocked(tab, tbl, key)
+	t.recordUndo(tab, tbl, key)
 	tab.rows[key] = row.CloneRow()
 	return nil
 }
@@ -172,26 +176,17 @@ func (t *Tx) Delete(tbl, key string) error {
 	if err != nil {
 		return err
 	}
-	if err := t.store.lm.Acquire(t.id, tableLock(tbl), IX, t.policy); err != nil {
-		return err
-	}
-	if err := t.store.lm.Acquire(t.id, rowLock(tbl, key), X, t.policy); err != nil {
-		return err
-	}
-	t.store.mu.Lock()
-	defer t.store.mu.Unlock()
 	if _, ok := tab.rows[key]; !ok {
 		return fmt.Errorf("%w: %s/%s", ErrNotFound, tbl, key)
 	}
-	t.recordUndoLocked(tab, tbl, key)
+	t.recordUndo(tab, tbl, key)
 	delete(tab.rows, key)
 	return nil
 }
 
-// Scan visits every row of tbl in key order under a table-level S lock
-// (preventing phantoms for the duration of the transaction, which the
-// promise-checking step of §8 requires). fn receives clones; returning
-// false stops the scan early.
+// Scan visits every row of tbl in key order. fn receives clones taken
+// before the first call, so fn may write to the table; returning false
+// stops the scan early.
 func (t *Tx) Scan(tbl string, fn func(key string, row Row) bool) error {
 	if t.done {
 		return ErrTxDone
@@ -200,44 +195,21 @@ func (t *Tx) Scan(tbl string, fn func(key string, row Row) bool) error {
 	if err != nil {
 		return err
 	}
-	if err := t.store.lm.Acquire(t.id, tableLock(tbl), S, t.policy); err != nil {
-		return err
-	}
-	t.store.mu.RLock()
 	keys := make([]string, 0, len(tab.rows))
 	for k := range tab.rows {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	snapshot := make([]Row, len(keys))
+	rows := make([]Row, len(keys))
 	for i, k := range keys {
-		snapshot[i] = tab.rows[k].CloneRow()
+		rows[i] = tab.rows[k].CloneRow()
 	}
-	t.store.mu.RUnlock()
 	for i, k := range keys {
-		if !fn(k, snapshot[i]) {
+		if !fn(k, rows[i]) {
 			break
 		}
 	}
 	return nil
-}
-
-// LockShared acquires a table-level S lock on tbl without reading anything —
-// the same lock Scan takes — and holds it until commit or abort (strict 2PL).
-// A transaction holding table S locks is guaranteed that no concurrent
-// transaction has uncommitted writes in those tables and that every prior
-// committer has finished publishing (the commit hook runs before locks are
-// released), so any out-of-band state maintained by the commit hook is
-// exactly consistent with what reads under this transaction would observe.
-// The property-matcher fast path (core/propmatch.go) is built on this.
-func (t *Tx) LockShared(tbl string) error {
-	if t.done {
-		return ErrTxDone
-	}
-	if _, err := t.lookupTable(tbl); err != nil {
-		return err
-	}
-	return t.store.lm.Acquire(t.id, tableLock(tbl), S, t.policy)
 }
 
 // Writes reports how many writes the transaction currently has in effect
@@ -246,8 +218,8 @@ func (t *Tx) LockShared(tbl string) error {
 // exactly the committed state.
 func (t *Tx) Writes() int { return len(t.undo) }
 
-// recordUndoLocked appends the pre-image of (tbl, key). Caller holds s.mu.
-func (t *Tx) recordUndoLocked(tab *table, tbl, key string) {
+// recordUndo appends the pre-image of (tbl, key).
+func (t *Tx) recordUndo(tab *table, tbl, key string) {
 	var prev Row
 	if old, ok := tab.rows[key]; ok {
 		prev = old.CloneRow()
@@ -255,33 +227,9 @@ func (t *Tx) recordUndoLocked(tab *table, tbl, key string) {
 	t.undo = append(t.undo, undoRecord{table: tbl, key: key, prev: prev})
 }
 
-// Commit makes the transaction's writes durable (in-memory), publishes a
-// fresh snapshot covering them (before any lock is released, so the
-// snapshot sequence is consistent with the 2PL serialization order), and
-// releases all locks.
-func (t *Tx) Commit() error {
-	if t.done {
-		return ErrTxDone
-	}
-	t.done = true
-	if touched := touchedKeys(t.undo); len(touched) > 0 {
-		t.store.publishCommit(touched)
-	}
-	t.undo = nil
-	t.store.lm.ReleaseAll(t.id)
-	return nil
-}
-
-// Abort rolls back every write via the undo log (in reverse order) and
-// releases all locks. The §8 prototype relies on this to undo application
-// actions that violated unrelated promises.
-func (t *Tx) Abort() error {
-	if t.done {
-		return ErrTxDone
-	}
-	t.done = true
-	t.store.mu.Lock()
-	for i := len(t.undo) - 1; i >= 0; i-- {
+// undoTo replays the undo log in reverse down to position mark.
+func (t *Tx) undoTo(mark int) {
+	for i := len(t.undo) - 1; i >= mark; i-- {
 		u := t.undo[i]
 		tab := t.store.tables[u.table]
 		if tab == nil {
@@ -293,15 +241,39 @@ func (t *Tx) Abort() error {
 			tab.rows[u.key] = u.prev.CloneRow()
 		}
 	}
-	t.store.mu.Unlock()
+	t.undo = t.undo[:mark]
+}
+
+// Commit makes the transaction's writes durable (in-memory), publishes a
+// fresh snapshot covering them and runs the commit hook — both before the
+// writer is released, so snapshots and hook calls follow commit order — and
+// then releases the writer.
+func (t *Tx) Commit() error {
+	if t.done {
+		return ErrTxDone
+	}
+	t.done = true
+	if touched := touchedKeys(t.undo); len(touched) > 0 {
+		t.store.publishCommit(touched)
+	}
 	t.undo = nil
-	t.store.lm.ReleaseAll(t.id)
+	t.store.writer.Unlock()
+	return nil
+}
+
+// Abort rolls back every write via the undo log (in reverse order) and
+// releases the writer. The §8 prototype relies on this to undo application
+// actions that violated unrelated promises.
+func (t *Tx) Abort() error {
+	if t.done {
+		return ErrTxDone
+	}
+	t.done = true
+	t.undoTo(0)
+	t.undo = nil
+	t.store.writer.Unlock()
 	return nil
 }
 
 // Done reports whether the transaction has committed or aborted.
 func (t *Tx) Done() bool { return t.done }
-
-// LockManager exposes the store's lock manager so the baseline package can
-// take long-duration application locks in the same namespace.
-func (s *Store) LockManager() *LockManager { return s.lm }

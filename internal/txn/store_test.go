@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // intRow is a simple Row for tests.
@@ -218,29 +219,111 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestScanBlocksConcurrentWriter(t *testing.T) {
+// beginAsync starts a Begin on another goroutine and returns a channel
+// that yields the transaction once Begin returns.
+func beginAsync(s *Store) <-chan *Tx {
+	got := make(chan *Tx, 1)
+	go func() { got <- s.Begin(Block) }()
+	return got
+}
+
+// mustWait fails unless got stays empty for a while, then yields a value
+// soon after release runs.
+func mustWait(t *testing.T, got <-chan *Tx, release func()) *Tx {
+	t.Helper()
+	select {
+	case <-got:
+		t.Fatal("second Begin returned while the first transaction was open")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	select {
+	case tx := <-got:
+		return tx
+	case <-time.After(time.Second):
+		t.Fatal("second Begin never returned after the first transaction ended")
+		return nil
+	}
+}
+
+func TestSecondBeginBlocksUntilCommit(t *testing.T) {
+	s := newTestStore(t, "t")
+	first := s.Begin(Block)
+	if err := first.Put("t", "k", &intRow{n: 1}); err != nil {
+		t.Fatal(err)
+	}
+	second := mustWait(t, beginAsync(s), func() { _ = first.Commit() })
+	defer second.Commit()
+	row, err := second.Get("t", "k")
+	if err != nil || row.(*intRow).n != 1 {
+		t.Fatalf("second transaction reads %v, %v; want the first's commit", row, err)
+	}
+}
+
+func TestSecondBeginBlocksUntilAbort(t *testing.T) {
+	s := newTestStore(t, "t")
+	first := s.Begin(Block)
+	if err := first.Put("t", "k", &intRow{n: 1}); err != nil {
+		t.Fatal(err)
+	}
+	second := mustWait(t, beginAsync(s), func() { _ = first.Abort() })
+	defer second.Commit()
+	if _, err := second.Get("t", "k"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("aborted write visible to the next transaction: %v", err)
+	}
+}
+
+func TestCreateTableWaitsForWriter(t *testing.T) {
+	s := newTestStore(t)
+	tx := s.Begin(Block)
+	created := make(chan error, 1)
+	go func() { created <- s.CreateTable("late") }()
+	select {
+	case err := <-created:
+		t.Fatalf("CreateTable ran beside an open transaction: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	_ = tx.Commit()
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSnapshotReadNeverBlocksOnWriter(t *testing.T) {
 	s := newTestStore(t, "t")
 	seed := s.Begin(Block)
 	_ = seed.Put("t", "k", &intRow{n: 1})
 	_ = seed.Commit()
 
-	reader := s.Begin(NoWait)
-	if err := reader.Scan("t", func(string, Row) bool { return true }); err != nil {
+	writer := s.Begin(Block)
+	defer writer.Abort()
+	if err := writer.Put("t", "k", &intRow{n: 2}); err != nil {
 		t.Fatal(err)
 	}
-	writer := s.Begin(NoWait)
-	err := writer.Put("t", "k2", &intRow{n: 2})
-	if !errors.Is(err, ErrWouldBlock) {
-		t.Fatalf("phantom insert during scan-holding tx: %v", err)
+	read := make(chan int64, 1)
+	go func() {
+		snap := s.Snapshot()
+		row, err := snap.Get("t", "k")
+		if err != nil {
+			t.Error(err)
+			read <- -1
+			return
+		}
+		n := 0
+		_ = snap.Scan("t", func(string, Row) bool { n++; return true })
+		if n != 1 {
+			t.Errorf("snapshot scan saw %d rows, want 1", n)
+		}
+		read <- row.(*intRow).n
+	}()
+	select {
+	case n := <-read:
+		if n != 1 {
+			t.Fatalf("snapshot read %d during an open writer, want committed 1", n)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("snapshot read blocked on the open writer")
 	}
-	_ = writer.Abort()
-	_ = reader.Commit()
-	// After the scanner commits, the writer succeeds.
-	w2 := s.Begin(NoWait)
-	if err := w2.Put("t", "k2", &intRow{n: 2}); err != nil {
-		t.Fatal(err)
-	}
-	_ = w2.Commit()
 }
 
 func TestConcurrentDisjointWriters(t *testing.T) {
@@ -275,9 +358,8 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 }
 
 func TestConcurrentCountersSerialize(t *testing.T) {
-	// Read-modify-write on a single row from many goroutines: the upgrade
-	// path (S then X) may deadlock two readers; deadlock victims retry.
-	// Final value must equal the number of successful increments.
+	// Read-modify-write on a single row from many goroutines: the single
+	// writer serializes them, so no increment is lost.
 	s := newTestStore(t, "t")
 	seed := s.Begin(Block)
 	_ = seed.Put("t", "ctr", &intRow{n: 0})
@@ -290,26 +372,19 @@ func TestConcurrentCountersSerialize(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perWorker; j++ {
-				for { // retry loop on deadlock/conflict
-					tx := s.Begin(Block)
-					row, err := tx.Get("t", "ctr")
-					if err == nil {
-						r := row.(*intRow)
-						r.n++
-						err = tx.Put("t", "ctr", r)
-					}
-					if err == nil {
-						if err = tx.Commit(); err == nil {
-							break
-						}
-					} else {
-						_ = tx.Abort()
-					}
-					if !errors.Is(err, ErrDeadlock) && !errors.Is(err, ErrWouldBlock) && err != nil {
-						t.Errorf("unexpected error: %v", err)
-						return
-					}
+				tx := s.Begin(Block)
+				row, err := tx.Get("t", "ctr")
+				if err == nil {
+					r := row.(*intRow)
+					r.n++
+					err = tx.Put("t", "ctr", r)
 				}
+				if err != nil {
+					_ = tx.Abort()
+					t.Errorf("increment: %v", err)
+					return
+				}
+				_ = tx.Commit()
 			}
 		}()
 	}

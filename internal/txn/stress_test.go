@@ -6,58 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 )
-
-// TestLockManagerStressNoLostWakeups hammers the lock manager with
-// goroutines acquiring random lock sets in random orders under the Block
-// policy, aborting and retrying on deadlock. Every worker must finish: a
-// lost wakeup or an undetected deadlock would hang the test (guarded by a
-// timeout watchdog).
-func TestLockManagerStressNoLostWakeups(t *testing.T) {
-	lm := NewLockManager()
-	locks := []string{"a", "b", "c", "d", "e"}
-	modes := []Mode{IS, IX, S, X}
-	const workers, rounds = 12, 60
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(w)))
-			id := uint64(1000 + w)
-			for round := 0; round < rounds; round++ {
-				n := 1 + r.Intn(3)
-				ok := true
-				for i := 0; i < n; i++ {
-					name := locks[r.Intn(len(locks))]
-					mode := modes[r.Intn(len(modes))]
-					if err := lm.Acquire(id, name, mode, Block); err != nil {
-						if errors.Is(err, ErrDeadlock) {
-							ok = false
-							break
-						}
-						t.Errorf("worker %d: %v", w, err)
-						return
-					}
-				}
-				_ = ok
-				lm.ReleaseAll(id)
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("lock manager stress hung: lost wakeup or undetected deadlock")
-	}
-}
 
 // TestStoreStressMixedWorkload runs concurrent random transactions (reads,
 // writes, scans, deletes, savepoint rollbacks, aborts) and then verifies
@@ -82,7 +31,6 @@ func TestStoreStressMixedWorkload(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(w) * 17))
 			for round := 0; round < 40; round++ {
 				tx := s.Begin(Block)
-				aborted := false
 				for op := 0; op < 4; op++ {
 					key := fmt.Sprintf("k%d", r.Intn(10))
 					var err error
@@ -108,19 +56,11 @@ func TestStoreStressMixedWorkload(t *testing.T) {
 							err = nil
 						}
 					}
-					if errors.Is(err, ErrDeadlock) {
-						_ = tx.Abort()
-						aborted = true
-						break
-					}
 					if err != nil {
 						t.Errorf("worker %d: %v", w, err)
 						_ = tx.Abort()
 						return
 					}
-				}
-				if aborted {
-					continue
 				}
 				if r.Intn(4) == 0 {
 					_ = tx.Abort()

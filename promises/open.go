@@ -15,20 +15,18 @@ import (
 // options collects everything Open can configure; the zero value is a
 // self-contained single-store engine.
 type options struct {
-	shards           int
-	clk              clock.Clock
-	defaultDuration  time.Duration
-	maxDuration      time.Duration
-	mode             PropertyMode
-	modeSet          bool
-	disablePostCheck bool
-	maxRetries       int
-	suppliers        map[string]Supplier
-	actions          core.ActionResolver
-	standardActions  bool
-	expiryWarning    time.Duration
-	replayRing       int
-	defaultPriority  int
+	shards          int
+	clk             clock.Clock
+	defaultDuration time.Duration
+	maxDuration     time.Duration
+	mode            PropertyMode
+	modeSet         bool
+	suppliers       map[string]Supplier
+	actions         core.ActionResolver
+	standardActions bool
+	expiryWarning   time.Duration
+	replayRing      int
+	defaultPriority int
 
 	dataDir         string
 	syncPolicy      SyncPolicy
@@ -44,6 +42,14 @@ type options struct {
 	nodeID         string
 	clusterNodes   map[string]string
 	reconcileEvery time.Duration
+}
+
+// anyLocal reports whether an option that only a local engine honours is
+// set (WithPropertyMode aside: a cluster engine mirrors its nodes' mode).
+func (o *options) anyLocal() bool {
+	return o.shards != 0 || o.clk != nil || o.defaultDuration != 0 || o.maxDuration != 0 ||
+		o.suppliers != nil || o.actions != nil || o.expiryWarning != 0 || o.replayRing != 0 ||
+		o.dataDir != "" || o.nodeID != "" || o.defaultPriority != 0
 }
 
 // Option configures Open.
@@ -209,10 +215,7 @@ func Open(opts ...Option) (Engine, error) {
 		if o.remoteURL != "" {
 			return nil, fmt.Errorf("promises: WithCluster and WithRemote are mutually exclusive")
 		}
-		if o.shards != 0 || o.clk != nil || o.defaultDuration != 0 || o.maxDuration != 0 ||
-			o.suppliers != nil || o.actions != nil || o.maxRetries != 0 ||
-			o.expiryWarning != 0 || o.replayRing != 0 || o.dataDir != "" || o.nodeID != "" ||
-			o.defaultPriority != 0 {
+		if o.anyLocal() {
 			return nil, fmt.Errorf("promises: WithCluster cannot combine with local-engine options")
 		}
 		ports := make([]cluster.NodePort, 0, len(o.clusterNodes))
@@ -225,10 +228,7 @@ func Open(opts ...Option) (Engine, error) {
 		return nil, fmt.Errorf("promises: WithReconcileEvery requires WithCluster")
 	}
 	if o.remoteURL != "" {
-		if o.shards != 0 || o.clk != nil || o.defaultDuration != 0 || o.maxDuration != 0 ||
-			o.modeSet || o.suppliers != nil || o.actions != nil || o.maxRetries != 0 ||
-			o.expiryWarning != 0 || o.replayRing != 0 || o.dataDir != "" || o.nodeID != "" ||
-			o.defaultPriority != 0 {
+		if o.modeSet || o.anyLocal() {
 			return nil, fmt.Errorf("promises: WithRemote(%q) cannot combine with local-engine options", o.remoteURL)
 		}
 		return &transport.Client{BaseURL: o.remoteURL, Client: o.clientID, HTTP: o.httpClient}, nil
@@ -239,6 +239,21 @@ func Open(opts ...Option) (Engine, error) {
 	if o.dataDir == "" && (o.syncPolicySet || o.syncEvery != 0 || o.checkpointEvery != 0 || o.reprobeEvery != 0) {
 		return nil, fmt.Errorf("promises: sync, checkpoint, and reprobe options require WithDataDir")
 	}
+	// One engine config serves all four local shapes, so every local option
+	// reaches every engine path.
+	cfg := core.Config{
+		Clock:           o.clk,
+		DefaultDuration: o.defaultDuration,
+		MaxDuration:     o.maxDuration,
+		PropertyMode:    o.mode,
+		Suppliers:       o.suppliers,
+		Actions:         o.actions,
+		ExpiryWarning:   o.expiryWarning,
+		ReplayRing:      o.replayRing,
+		DefaultPriority: o.defaultPriority,
+	}
+	sharded := o.shards > 1 || o.nodeID != ""
+	scfg := core.ShardedConfig{Config: cfg, Shards: max(o.shards, 1), IDNamespace: o.nodeID}
 	if o.dataDir != "" {
 		dur := core.DurabilityOptions{
 			Dir:             o.dataDir,
@@ -247,66 +262,15 @@ func Open(opts ...Option) (Engine, error) {
 			CheckpointEvery: o.checkpointEvery,
 			ReprobeEvery:    o.reprobeEvery,
 		}
-		if o.shards > 1 || o.nodeID != "" {
-			return core.OpenDurableSharded(core.ShardedConfig{
-				Shards:           max(o.shards, 1),
-				Clock:            o.clk,
-				DefaultDuration:  o.defaultDuration,
-				MaxDuration:      o.maxDuration,
-				PropertyMode:     o.mode,
-				DisablePostCheck: o.disablePostCheck,
-				Suppliers:        o.suppliers,
-				MaxRetries:       o.maxRetries,
-				Actions:          o.actions,
-				ExpiryWarning:    o.expiryWarning,
-				ReplayRing:       o.replayRing,
-				IDNamespace:      o.nodeID,
-			}, dur)
+		if sharded {
+			return core.OpenDurableSharded(scfg, dur)
 		}
-		return core.OpenDurable(core.Config{
-			Clock:            o.clk,
-			DefaultDuration:  o.defaultDuration,
-			MaxDuration:      o.maxDuration,
-			PropertyMode:     o.mode,
-			DisablePostCheck: o.disablePostCheck,
-			Suppliers:        o.suppliers,
-			MaxRetries:       o.maxRetries,
-			Actions:          o.actions,
-			ExpiryWarning:    o.expiryWarning,
-			ReplayRing:       o.replayRing,
-			DefaultPriority:  o.defaultPriority,
-		}, dur)
+		return core.OpenDurable(cfg, dur)
 	}
-	if o.shards > 1 || o.nodeID != "" {
-		return core.NewSharded(core.ShardedConfig{
-			Shards:           max(o.shards, 1),
-			Clock:            o.clk,
-			DefaultDuration:  o.defaultDuration,
-			MaxDuration:      o.maxDuration,
-			PropertyMode:     o.mode,
-			DisablePostCheck: o.disablePostCheck,
-			Suppliers:        o.suppliers,
-			MaxRetries:       o.maxRetries,
-			Actions:          o.actions,
-			ExpiryWarning:    o.expiryWarning,
-			ReplayRing:       o.replayRing,
-			DefaultPriority:  o.defaultPriority,
-			IDNamespace:      o.nodeID,
-		})
+	if sharded {
+		return core.NewSharded(scfg)
 	}
-	return core.New(core.Config{
-		Clock:            o.clk,
-		DefaultDuration:  o.defaultDuration,
-		MaxDuration:      o.maxDuration,
-		PropertyMode:     o.mode,
-		DisablePostCheck: o.disablePostCheck,
-		Suppliers:        o.suppliers,
-		MaxRetries:       o.maxRetries,
-		Actions:          o.actions,
-		ExpiryWarning:    o.expiryWarning,
-		ReplayRing:       o.replayRing,
-		DefaultPriority:  o.defaultPriority,
-	})
+	return core.New(cfg)
 }
 
 // Seeder is the resource-seeding surface of the local engines: both
