@@ -34,14 +34,10 @@ func benchWorld(b *testing.B, pools map[string]int64, cfg core.Config) *core.Man
 	if err != nil {
 		b.Fatal(err)
 	}
-	tx := m.Store().Begin(txn.Block)
 	for pool, qty := range pools {
-		if err := m.Resources().CreatePool(tx, pool, qty, nil); err != nil {
+		if err := m.CreatePool(pool, qty, nil); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if err := tx.Commit(); err != nil {
-		b.Fatal(err)
 	}
 	return m
 }
@@ -226,14 +222,10 @@ func BenchmarkE5(b *testing.B) {
 	})
 	b.Run("named", func(b *testing.B) {
 		m := benchWorld(b, nil, core.Config{DefaultDuration: time.Hour})
-		tx := m.Store().Begin(txn.Block)
 		for i := 0; i < outstanding+1; i++ {
-			if err := m.Resources().CreateInstance(tx, fmt.Sprintf("i%06d", i), nil); err != nil {
+			if err := m.CreateInstance(fmt.Sprintf("i%06d", i), nil); err != nil {
 				b.Fatal(err)
 			}
-		}
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
 		}
 		for i := 0; i < outstanding; i++ {
 			mustGrant(b, m, core.Named(fmt.Sprintf("i%06d", i)))
@@ -243,15 +235,11 @@ func BenchmarkE5(b *testing.B) {
 	})
 	b.Run("property", func(b *testing.B) {
 		m := benchWorld(b, nil, core.Config{DefaultDuration: time.Hour})
-		tx := m.Store().Begin(txn.Block)
 		for i := 0; i < outstanding+1; i++ {
 			props := map[string]predicate.Value{"slot": predicate.Int(int64(i))}
-			if err := m.Resources().CreateInstance(tx, fmt.Sprintf("r%06d", i), props); err != nil {
+			if err := m.CreateInstance(fmt.Sprintf("r%06d", i), props); err != nil {
 				b.Fatal(err)
 			}
-		}
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
 		}
 		for i := 0; i < outstanding; i++ {
 			mustGrant(b, m, core.MustProperty("slot >= 0"))
@@ -326,18 +314,14 @@ func BenchmarkE7(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			m := benchWorld(b, nil, core.Config{PropertyMode: mode, DefaultDuration: time.Hour})
-			tx := m.Store().Begin(txn.Block)
 			for i := 0; i < 64; i++ {
 				props := map[string]predicate.Value{
 					"view":  predicate.Bool(i%2 == 0),
 					"floor": predicate.Int(int64(3 + 2*(i%2))),
 				}
-				if err := m.Resources().CreateInstance(tx, fmt.Sprintf("room-%03d", i), props); err != nil {
+				if err := m.CreateInstance(fmt.Sprintf("room-%03d", i), props); err != nil {
 					b.Fatal(err)
 				}
-			}
-			if err := tx.Commit(); err != nil {
-				b.Fatal(err)
 			}
 			for i := 0; i < 16; i++ {
 				mustGrant(b, m, core.MustProperty("view = true"))
@@ -475,7 +459,7 @@ func BenchmarkE11(b *testing.B) {
 				managers[i] = benchWorld(b, map[string]int64{"w": 0}, core.Config{
 					DefaultDuration: time.Hour,
 					Suppliers: map[string]core.Supplier{
-						"w": &core.ManagerSupplier{M: managers[i+1], Client: fmt.Sprintf("tier-%d", i)},
+						"w": &promises.EngineSupplier{E: managers[i+1], Client: fmt.Sprintf("tier-%d", i)},
 					},
 				})
 			}
@@ -510,7 +494,7 @@ func BenchmarkE11(b *testing.B) {
 func BenchmarkE12(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, err := promises.NewSharded(promises.ShardedConfig{Shards: shards, Config: promises.Config{DefaultDuration: time.Hour}})
+			s, err := core.New(core.Config{Shards: shards, DefaultDuration: time.Hour})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -54,7 +54,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -72,16 +71,6 @@ import (
 	"repro/internal/transport"
 	"repro/promises"
 )
-
-// localEngine is what the daemon needs beyond the client-facing Engine:
-// periodic sweeping and resource seeding. Both local engines implement it.
-type localEngine interface {
-	promises.Engine
-	Sweep() error
-	LoadSeed(r io.Reader) (pools, instances int, err error)
-	CreatePool(id string, onHand int64, props map[string]promises.Value) error
-	CreateInstance(id string, props map[string]promises.Value) error
-}
 
 func main() {
 	addr := flag.String("addr", ":8642", "listen address")
@@ -176,7 +165,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("promised: %v", err)
 	}
-	m := eng.(localEngine)
+	m := eng.(*promises.Manager)
 	switch {
 	case recovered:
 		log.Printf("promised: recovered state from %s (%d shards); skipping seed", *dataDir, *shards)
@@ -319,7 +308,7 @@ func runCoordinator(addr, nodeList string, probeEvery, canaryMax time.Duration) 
 
 // seedData installs one of the demo datasets used throughout the examples,
 // routing each pool and instance to its owning shard.
-func seedData(m localEngine, name string) error {
+func seedData(m *promises.Manager, name string) error {
 	if name == "none" {
 		return nil
 	}

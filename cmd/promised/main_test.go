@@ -7,13 +7,13 @@ import (
 	"repro/promises"
 )
 
-func newSharded(t *testing.T) *promises.ShardedManager {
+func newSharded(t *testing.T) *promises.Manager {
 	t.Helper()
-	m, err := promises.NewSharded(promises.ShardedConfig{Shards: 4})
+	e, err := promises.Open(promises.WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return e.(*promises.Manager)
 }
 
 func TestSeedDatasets(t *testing.T) {

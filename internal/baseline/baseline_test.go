@@ -36,14 +36,10 @@ func newPromiseWorld(t *testing.T, pools map[string]int64) *core.Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := m.Store().Begin(txn.Block)
 	for pool, qty := range pools {
-		if err := m.Resources().CreatePool(tx, pool, qty, nil); err != nil {
+		if err := m.CreatePool(pool, qty, nil); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
 	}
 	return m
 }

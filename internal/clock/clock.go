@@ -21,8 +21,7 @@ type Clock interface {
 // Alarmer is implemented by clocks that can run a function when an instant
 // is reached. The expiry heap uses it to fire promise expirations at their
 // deadlines instead of at the next request. Both System and Fake implement
-// it; a Clock that does not leaves expiry to the request path and explicit
-// Sweep calls.
+// it; a Clock that does not leaves expiry to the request path.
 type Alarmer interface {
 	// AfterFunc arranges for f to run once the clock reaches t and returns
 	// a stop function cancelling the alarm (a no-op once fired). System

@@ -59,7 +59,7 @@ func (p *pair) onSurvivors(crashed string) bool {
 }
 
 // TestClusterEquivalenceRandom drives an identical randomized workload
-// through a simulated 3-node federation and through one ShardedManager on
+// through a simulated 3-node federation and through one core.Manager on
 // the same fake clock, and requires them to agree on every observable:
 // accept/reject of each grant, the sentinel class of every check and
 // release, pool levels, and audit health. Midway one node is killed —
@@ -80,12 +80,10 @@ func runEquivalence(t *testing.T, seed int64) {
 		rounds     = 120
 	)
 	sim, eng := newSim(t, core.MatchingMode)
-	ref, err := core.NewSharded(core.ShardedConfig{
-		Shards: 4,
-		Config: core.Config{
-			Clock:        sim.Clock(),
-			PropertyMode: core.MatchingMode,
-		},
+	ref, err := core.New(core.Config{
+		Shards:       4,
+		Clock:        sim.Clock(),
+		PropertyMode: core.MatchingMode,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func (r *AuditReport) String() string {
 // still count as live (their holds are still transactionally present; the
 // deadline alarm lapses them independently), so the audit never reports
 // their backing as leaked.
-func (m *Manager) Audit() (*AuditReport, error) {
+func (m *shard) Audit() (*AuditReport, error) {
 	snap := m.store.Snapshot()
 	report := &AuditReport{}
 	problem := func(format string, args ...any) {

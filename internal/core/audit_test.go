@@ -40,7 +40,7 @@ func TestAuditHealthyOnFreshManager(t *testing.T) {
 func TestAuditHealthyAfterMixedActivity(t *testing.T) {
 	m, fake := newManager(t, Config{DefaultDuration: time.Minute})
 	seed(t, m, func(tx *txn.Tx) error {
-		rm := m.Resources()
+		rm := m.only().rm
 		if err := rm.CreatePool(tx, "p", 20, nil); err != nil {
 			return err
 		}
@@ -81,7 +81,7 @@ func TestAuditHealthyAfterMixedActivity(t *testing.T) {
 func TestAuditDetectsCorruption(t *testing.T) {
 	m, _ := newManager(t, Config{DefaultDuration: time.Hour})
 	seed(t, m, func(tx *txn.Tx) error {
-		rm := m.Resources()
+		rm := m.only().rm
 		if err := rm.CreatePool(tx, "p", 10, nil); err != nil {
 			return err
 		}
@@ -94,7 +94,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 
 	// Corruption 1: drain the pool behind the manager's back.
 	seed(t, m, func(tx *txn.Tx) error {
-		_, err := m.Resources().AdjustPool(tx, "p", -5)
+		_, err := m.only().rm.AdjustPool(tx, "p", -5)
 		return err
 	})
 	rep, err := m.Audit()
@@ -107,7 +107,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 
 	// Restore, then corruption 2: steal the named instance's tag.
 	seed(t, m, func(tx *txn.Tx) error {
-		_, err := m.Resources().AdjustPool(tx, "p", 5)
+		_, err := m.only().rm.AdjustPool(tx, "p", 5)
 		return err
 	})
 	seed(t, m, func(tx *txn.Tx) error {
@@ -159,10 +159,10 @@ func TestAuditDetectsLeakedReservation(t *testing.T) {
 	// A reservation held by a slot of a promise that no longer exists.
 	m, _ := newManager(t, Config{DefaultDuration: time.Hour})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.ledger.Reserve(tx, "p", "prm-ghost#0", 3)
+		return m.only().ledger.Reserve(tx, "p", "prm-ghost#0", 3)
 	})
 	rep, err := m.Audit()
 	if err != nil {
@@ -182,7 +182,7 @@ func TestQuickSoakAuditStaysHealthy(t *testing.T) {
 		r := rand.New(rand.NewSource(seed64))
 		m, fake := newManager(t, Config{DefaultDuration: time.Minute})
 		seed(t, m, func(tx *txn.Tx) error {
-			rm := m.Resources()
+			rm := m.only().rm
 			if err := rm.CreatePool(tx, "p", 30, nil); err != nil {
 				return err
 			}
@@ -282,7 +282,7 @@ func TestQuickSoakAuditStaysHealthy(t *testing.T) {
 func TestConcurrentSoakThenAudit(t *testing.T) {
 	m, _ := newManager(t, Config{DefaultDuration: time.Hour})
 	seed(t, m, func(tx *txn.Tx) error {
-		rm := m.Resources()
+		rm := m.only().rm
 		if err := rm.CreatePool(tx, "p", 50, nil); err != nil {
 			return err
 		}

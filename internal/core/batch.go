@@ -5,22 +5,8 @@ import (
 	"fmt"
 )
 
-// This file is the batched request surface shared by the single-store
-// Manager and the ShardedManager. Batching lets the daemon amortize lock
-// acquisition and per-transaction overhead (sweep, commit) over many
-// independent promise operations from one client.
-
-// GrantBatch processes many independent promise requests for one client in
-// a single transaction. Each PromiseRequest is still atomic on its own —
-// one rejection does not affect its neighbours — exactly as if they had
-// arrived in one §6 message.
-func (m *Manager) GrantBatch(ctx context.Context, client string, reqs []PromiseRequest) ([]PromiseResponse, error) {
-	resp, err := m.Execute(ctx, Request{Client: client, PromiseRequests: reqs})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Promises, nil
-}
+// This file holds the shard's snapshot read paths behind the Manager's
+// CheckBatch and environment validation.
 
 // CheckBatch reports, per promise id, whether the promise is currently
 // usable by client: nil when active and unexpired, otherwise the matching
@@ -30,7 +16,7 @@ func (m *Manager) GrantBatch(ctx context.Context, client string, reqs []PromiseR
 // and never queue behind each other, no matter how many writers are
 // running. The outer error reports a failure of the check itself (a
 // cancelled context, a dead transport), never a per-promise state.
-func (m *Manager) CheckBatch(ctx context.Context, client string, ids []string) ([]error, error) {
+func (m *shard) CheckBatch(ctx context.Context, client string, ids []string) ([]error, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -44,7 +30,7 @@ func (m *Manager) CheckBatch(ctx context.Context, client string, ids []string) (
 
 // usable reports whether the promise exists, belongs to client, and is
 // still active and unexpired, against the latest committed snapshot.
-func (m *Manager) usable(client, id string) error {
+func (m *shard) usable(client, id string) error {
 	_, err := m.promiseForClient(m.store.Snapshot(), client, id)
 	return err
 }
@@ -52,7 +38,7 @@ func (m *Manager) usable(client, id string) error {
 // envOK validates an environment against the latest committed snapshot:
 // every promise exists, belongs to client, and has not expired or been
 // released.
-func (m *Manager) envOK(client string, env []EnvEntry) error {
+func (m *shard) envOK(client string, env []EnvEntry) error {
 	if client == "" {
 		return fmt.Errorf("%w: missing client", ErrBadRequest)
 	}

@@ -24,8 +24,8 @@ func benchManager(b *testing.B, cfg Config) *Manager {
 // BenchmarkGrantReleaseAnonymous is the core grant path without transport.
 func BenchmarkGrantReleaseAnonymous(b *testing.B) {
 	m := benchManager(b, Config{DefaultDuration: time.Hour})
-	tx := m.Store().Begin(txn.Block)
-	if err := m.Resources().CreatePool(tx, "p", 1<<40, nil); err != nil {
+	tx := m.only().store.Begin(txn.Block)
+	if err := m.only().rm.CreatePool(tx, "p", 1<<40, nil); err != nil {
 		b.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -87,18 +87,17 @@ func BenchmarkLazyMatcherSeeding(b *testing.B) {
 // active promise on every request — per-op cost grew linearly with the
 // table (the dominant cost in BenchmarkManagerParallel); with the heap the
 // request path only peeks the top entry, so per-op cost must stay flat
-// across the promises=N sub-benchmarks. The explicit-Sweep variant prices
-// the deadline-processing shim itself (a no-op pop when nothing is due).
+// across the promises=N sub-benchmarks.
 func BenchmarkSweep(b *testing.B) {
 	world := func(b *testing.B, n int) *Manager {
 		b.Helper()
 		m := benchManager(b, Config{DefaultDuration: time.Hour})
-		tx := m.Store().Begin(txn.Block)
+		tx := m.only().store.Begin(txn.Block)
 		// The outstanding promises hold a pool of their own, so the probe
 		// measures the per-request cost the table size imposes (formerly
 		// the sweep scan), not contention on one escrow entry.
 		for _, pool := range []string{"p", "held"} {
-			if err := m.Resources().CreatePool(tx, pool, 1<<40, nil); err != nil {
+			if err := m.only().rm.CreatePool(tx, pool, 1<<40, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -131,27 +130,18 @@ func BenchmarkSweep(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("sweep/promises=%d", n), func(b *testing.B) {
-			m := world(b, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := m.Sweep(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
 // BenchmarkAudit prices the full consistency audit.
 func BenchmarkAudit(b *testing.B) {
 	m := benchManager(b, Config{DefaultDuration: time.Hour})
-	tx := m.Store().Begin(txn.Block)
-	if err := m.Resources().CreatePool(tx, "p", 1<<40, nil); err != nil {
+	tx := m.only().store.Begin(txn.Block)
+	if err := m.only().rm.CreatePool(tx, "p", 1<<40, nil); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := m.Resources().CreateInstance(tx, fmt.Sprintf("i%d", i), map[string]predicate.Value{
+		if err := m.only().rm.CreateInstance(tx, fmt.Sprintf("i%d", i), map[string]predicate.Value{
 			"x": predicate.Int(int64(i)),
 		}); err != nil {
 			b.Fatal(err)
@@ -188,9 +178,9 @@ func BenchmarkAudit(b *testing.B) {
 
 // benchShardedPools builds a sharded manager with enough distinct pools
 // that parallel workers spread across shards.
-func benchShardedPools(b *testing.B, shards, pools int) (*ShardedManager, []string) {
+func benchShardedPools(b *testing.B, shards, pools int) (*Manager, []string) {
 	b.Helper()
-	s, err := NewSharded(ShardedConfig{Shards: shards, Config: Config{DefaultDuration: time.Hour}})
+	s, err := New(Config{Shards: shards, DefaultDuration: time.Hour})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -257,7 +247,7 @@ func BenchmarkManagerParallel(b *testing.B) {
 func BenchmarkGrantBatch(b *testing.B) {
 	const batch = 16
 	const outstanding = 256
-	hold := func(b *testing.B, s *ShardedManager, pools []string) {
+	hold := func(b *testing.B, s *Manager, pools []string) {
 		b.Helper()
 		for i := 0; i < outstanding; i++ {
 			resp, err := s.Execute(bg, Request{Client: "holder", PromiseRequests: []PromiseRequest{{
@@ -327,7 +317,7 @@ func BenchmarkGrantBatch(b *testing.B) {
 func BenchmarkCheckUnderWriteLoad(b *testing.B) {
 	for _, writers := range []int{0, 2, 8} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			s, err := NewSharded(ShardedConfig{Shards: 8, Config: Config{DefaultDuration: time.Hour}})
+			s, err := New(Config{Shards: 8, DefaultDuration: time.Hour})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -422,7 +412,7 @@ func BenchmarkCrossShardPropertyGrant(b *testing.B) {
 	}
 	for _, layout := range layouts {
 		b.Run(layout.name, func(b *testing.B) {
-			s, err := NewSharded(ShardedConfig{Shards: 8, Config: Config{DefaultDuration: time.Hour}})
+			s, err := New(Config{Shards: 8, DefaultDuration: time.Hour})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -472,8 +462,8 @@ func BenchmarkPreemptionGrant(b *testing.B) {
 	for _, variant := range []string{"plain", "displace"} {
 		b.Run(variant, func(b *testing.B) {
 			m := benchManager(b, Config{DefaultDuration: time.Hour})
-			tx := m.Store().Begin(txn.Block)
-			if err := m.Resources().CreatePool(tx, "p", 1, nil); err != nil {
+			tx := m.only().store.Begin(txn.Block)
+			if err := m.only().rm.CreatePool(tx, "p", 1, nil); err != nil {
 				b.Fatal(err)
 			}
 			if err := tx.Commit(); err != nil {

@@ -34,7 +34,7 @@ func (s *cancellingSupplier) ReleasePromise(context.Context, string) error {
 func (s *cancellingSupplier) ConsumePromise(context.Context, string, int64) error { return nil }
 
 // twoShardPools returns two pool names owned by different shards of s.
-func twoShardPools(t *testing.T, s *ShardedManager) (a, b string) {
+func twoShardPools(t *testing.T, s *Manager) (a, b string) {
 	t.Helper()
 	a = "cancel-pool-0"
 	for i := 1; ; i++ {
@@ -51,7 +51,7 @@ func twoShardPools(t *testing.T, s *ShardedManager) (a, b string) {
 // TestCancelledContextAbortsBeforeAnyWork: a context dead on arrival never
 // reaches the store.
 func TestCancelledContextAbortsBeforeAnyWork(t *testing.T) {
-	s, err := NewSharded(ShardedConfig{Shards: 4})
+	s, err := New(Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,9 @@ func TestCancelMidPipelineAbortsBeforeConfirm(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	sup := &cancellingSupplier{onRequest: cancel}
 
-	s, err := NewSharded(ShardedConfig{
-		Shards: 4,
-		Config: Config{
-			Suppliers: map[string]Supplier{"cancel-pool-0": sup},
-		},
+	s, err := New(Config{
+		Shards:    4,
+		Suppliers: map[string]Supplier{"cancel-pool-0": sup},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,11 +140,9 @@ func TestCancelMidPipelineRestoresReleases(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	sup := &cancellingSupplier{onRequest: cancel}
 
-	s, err := NewSharded(ShardedConfig{
-		Shards: 4,
-		Config: Config{
-			Suppliers: map[string]Supplier{"cancel-pool-0": sup},
-		},
+	s, err := New(Config{
+		Shards:    4,
+		Suppliers: map[string]Supplier{"cancel-pool-0": sup},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +199,7 @@ func TestCancelMidPipelineRestoresReleases(t *testing.T) {
 // TestCancelGrantBatch: a cancelled context fails the batch wholesale with
 // no partial grants surviving.
 func TestCancelGrantBatch(t *testing.T) {
-	s, err := NewSharded(ShardedConfig{Shards: 4})
+	s, err := New(Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +239,8 @@ func TestReleaseMethod(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			tx := m.Store().Begin(txn.Block)
-			if err := m.Resources().CreatePool(tx, "p", 10, nil); err != nil {
+			tx := m.only().store.Begin(txn.Block)
+			if err := m.only().rm.CreatePool(tx, "p", 10, nil); err != nil {
 				return nil, err
 			}
 			return m, tx.Commit()
@@ -253,7 +249,7 @@ func TestReleaseMethod(t *testing.T) {
 			Execute(context.Context, Request) (*Response, error)
 			Release(ctx context.Context, client string, ids ...string) error
 		}, error) {
-			s, err := NewSharded(ShardedConfig{Shards: 4})
+			s, err := New(Config{Shards: 4})
 			if err != nil {
 				return nil, err
 			}

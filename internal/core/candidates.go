@@ -107,7 +107,7 @@ type candSummary struct {
 }
 
 // candidateIndex is the mutable master state. It is only ever touched by
-// the store's serialized commit hook (plus init before the manager is
+// the store's serialized commit hook (plus init before the shard is
 // shared), so it needs no locking of its own; readers see the published
 // summary.
 type candidateIndex struct {
@@ -125,47 +125,24 @@ type candidateIndex struct {
 	summary atomic.Pointer[candSummary]
 }
 
-// CandidateSummary returns the manager's current candidate-index summary
-// (lock-free).
-func (m *Manager) CandidateSummary() (hostable, slots int) {
-	s := m.cand.summary.Load()
-	return s.Hostable, s.Slots
-}
-
-// init performs a full rebuild from a snapshot — called once from New,
-// before the manager is visible to other goroutines, so a manager opened
-// over a pre-populated store starts with a correct index.
-func (m *Manager) candInit(snap *txn.Snapshot) {
+// candInit sets up the empty index of a fresh store — called once from
+// newShard, before the shard is visible to other goroutines. Every later
+// row, recovered ones included, arrives through onCommit.
+func (m *shard) candInit() {
 	c := &m.cand
-	pm := &m.pmatch
-	pm.init()
+	m.pmatch.init()
 	c.insts = make(map[string]instContrib)
 	c.promises = make(map[string]promContrib)
 	c.pinned = make(map[string]time.Time)
-	c.hostable, c.slots = 0, 0
 	c.byProp = make(map[string]map[predicate.Value]int)
 	c.dirty = make(map[string]struct{})
-	_ = snap.Scan(TablePromises, func(key string, row txn.Row) bool {
-		p := &row.(*promiseRow).p
-		pc := promContribOf(p)
-		if pc.propSlots > 0 || len(pc.assigned) > 0 {
-			c.promises[key] = pc
-			c.slots += pc.propSlots
-		}
-		pm.updatePromiseSlots(key, p)
-		return true
-	})
-	_ = snap.Scan(resource.TableInstances, func(key string, _ txn.Row) bool {
-		m.candRecompute(snap, key)
-		return true
-	})
 	m.candPublish()
 }
 
 // onCommit is the store commit hook: it folds one commit's touched keys
 // into the index and republishes the summary when anything changed. Calls
 // run under the store's writer, in commit order.
-func (m *Manager) onCommit(snap *txn.Snapshot, touched []txn.TableKey) {
+func (m *shard) onCommit(snap *txn.Snapshot, touched []txn.TableKey) {
 	c := &m.cand
 	pm := &m.pmatch
 	var affected map[string]bool
@@ -245,7 +222,7 @@ func promContribOf(p *Promise) promContrib {
 // candRecompute re-classifies one instance against the snapshot and folds
 // the difference into the counts and the persistent matcher state. Returns
 // whether anything changed.
-func (m *Manager) candRecompute(snap *txn.Snapshot, id string) bool {
+func (m *shard) candRecompute(snap *txn.Snapshot, id string) bool {
 	c := &m.cand
 	neu, inst, exists := m.candClassify(snap, id)
 	old := c.insts[id]
@@ -297,7 +274,7 @@ func (m *Manager) candRecompute(snap *txn.Snapshot, id string) bool {
 // matcher may rearrange). State-active promises past their wall-clock
 // expiry still count — over-approximation is the safe direction, and the
 // expiry transaction will retouch the rows moments later.
-func (m *Manager) candClassify(snap *txn.Snapshot, id string) (instContrib, *resource.Instance, bool) {
+func (m *shard) candClassify(snap *txn.Snapshot, id string) (instContrib, *resource.Instance, bool) {
 	row, err := snap.Get(resource.TableInstances, id)
 	if err != nil {
 		return instContrib{}, nil, false
@@ -341,7 +318,7 @@ func (m *Manager) candClassify(snap *txn.Snapshot, id string) (instContrib, *res
 // publication are shared with the previous summary (both are immutable once
 // published), so a commit touching an instance with few properties pays for
 // those properties only, however many distinct properties the shard hosts.
-func (m *Manager) candPublish() {
+func (m *shard) candPublish() {
 	c := &m.cand
 	prev := c.summary.Load()
 	s := &candSummary{

@@ -62,7 +62,7 @@ type propSlot struct {
 // On rejection, counter carries the manager's best counter-offer (§6's
 // "accepted with the condition XX" direction): the largest quantities it
 // could promise for the pools that fell short.
-func (m *Manager) plan(ctx context.Context, tx *txn.Tx, st *execState, preds []Predicate, releases []*Promise, d time.Duration) (_ *grantPlan, reason string, counter []Predicate, _ error) {
+func (m *shard) plan(ctx context.Context, tx *txn.Tx, st *execState, preds []Predicate, releases []*Promise, d time.Duration) (_ *grantPlan, reason string, counter []Predicate, _ error) {
 	planState := &execState{}
 	plan, reason, counter, err := m.planInner(ctx, tx, planState, preds, releases, d)
 	acquired := planState.undoUpstream
@@ -76,7 +76,7 @@ func (m *Manager) plan(ctx context.Context, tx *txn.Tx, st *execState, preds []P
 	return plan, "", nil, nil
 }
 
-func (m *Manager) planInner(ctx context.Context, tx *txn.Tx, st *execState, preds []Predicate, releases []*Promise, d time.Duration) (*grantPlan, string, []Predicate, error) {
+func (m *shard) planInner(ctx context.Context, tx *txn.Tx, st *execState, preds []Predicate, releases []*Promise, d time.Duration) (*grantPlan, string, []Predicate, error) {
 	excludedSlots := make(map[string]bool)
 	freedQty := make(map[string]int64) // pool -> quantity freed by releases
 	freedInst := make(map[string]bool) // instances freed by releases
@@ -368,7 +368,7 @@ func (m *Manager) planInner(ctx context.Context, tx *txn.Tx, st *execState, pred
 
 // activePropertySlots lists every property predicate of every active
 // promise, minus excluded slots.
-func (m *Manager) activePropertySlots(r txn.Reader, excluded map[string]bool) ([]propSlot, error) {
+func (m *shard) activePropertySlots(r txn.Reader, excluded map[string]bool) ([]propSlot, error) {
 	promises, err := m.activePromises(r)
 	if err != nil {
 		return nil, err
@@ -394,7 +394,7 @@ func (m *Manager) activePropertySlots(r txn.Reader, excluded map[string]bool) ([
 }
 
 // applyGrant reserves, tags and records the backing decided by plan.
-func (m *Manager) applyGrant(tx *txn.Tx, prm *Promise, plan *grantPlan) error {
+func (m *shard) applyGrant(tx *txn.Tx, prm *Promise, plan *grantPlan) error {
 	if err := m.applyRealloc(tx, plan.realloc); err != nil {
 		return err
 	}
@@ -427,7 +427,7 @@ func (m *Manager) applyGrant(tx *txn.Tx, prm *Promise, plan *grantPlan) error {
 // applyRealloc moves tentative property allocations: all old tags are
 // released first, then the new ones acquired, then the owning promise rows
 // updated — one atomic rearrangement inside the request transaction.
-func (m *Manager) applyRealloc(tx *txn.Tx, realloc map[string]string) error {
+func (m *shard) applyRealloc(tx *txn.Tx, realloc map[string]string) error {
 	if len(realloc) == 0 {
 		return nil
 	}
@@ -505,7 +505,7 @@ func (v *violationError) Unwrap() error { return v.err }
 // This ensures that the state changes made by the application have not
 // violated any unrelated promises." It returns a descriptive error when
 // any active promise can no longer be honoured.
-func (m *Manager) checkAll(tx *txn.Tx) error {
+func (m *shard) checkAll(tx *txn.Tx) error {
 	// Anonymous view: the escrow sums must still fit the pools.
 	if err := m.ledger.CheckAllInvariants(tx); err != nil {
 		return err
@@ -546,7 +546,7 @@ func (m *Manager) checkAll(tx *txn.Tx) error {
 // slotHealthy verifies one instance-backed slot: instance present, still
 // tagged promised, held by this slot, and (for property view) still
 // satisfying the predicate.
-func (m *Manager) slotHealthy(r txn.Reader, inst, slot string, expr predicate.Expr) error {
+func (m *shard) slotHealthy(r txn.Reader, inst, slot string, expr predicate.Expr) error {
 	if inst == "" {
 		return fmt.Errorf("no assigned instance")
 	}
@@ -574,7 +574,7 @@ func (m *Manager) slotHealthy(r txn.Reader, inst, slot string, expr predicate.Ex
 }
 
 // rematchProperties attempts a full reallocation of every property slot.
-func (m *Manager) rematchProperties(tx *txn.Tx) error {
+func (m *shard) rematchProperties(tx *txn.Tx) error {
 	slots, err := m.activePropertySlots(tx, nil)
 	if err != nil {
 		return err

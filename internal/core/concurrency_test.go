@@ -14,7 +14,7 @@ func TestConcurrentAnonymousGrantsRespectCapacity(t *testing.T) {
 	// resources that are actually available" — under a concurrent stampede.
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "seats", 40, nil)
+		return m.only().rm.CreatePool(tx, "seats", 40, nil)
 	})
 	const clients = 100
 	var granted atomic.Int64
@@ -42,7 +42,7 @@ func TestConcurrentAnonymousGrantsRespectCapacity(t *testing.T) {
 func TestConcurrentNamedGrantsSingleWinner(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreateInstance(tx, "unique", nil)
+		return m.only().rm.CreateInstance(tx, "unique", nil)
 	})
 	var winners atomic.Int64
 	var wg sync.WaitGroup
@@ -71,7 +71,7 @@ func TestConcurrentNamedGrantsSingleWinner(t *testing.T) {
 func TestConcurrentPropertyGrantsBoundedByRooms(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		rm := m.Resources()
+		rm := m.only().rm
 		for _, id := range []string{"r1", "r2", "r3"} {
 			if err := rm.CreateInstance(tx, id, map[string]predicate.Value{
 				"view": predicate.Bool(true),
@@ -108,7 +108,7 @@ func TestConcurrentMixedGrantReleaseChurn(t *testing.T) {
 	// capacity must be free and all invariants hold.
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		rm := m.Resources()
+		rm := m.only().rm
 		if err := rm.CreatePool(tx, "pool", 10, nil); err != nil {
 			return err
 		}
@@ -171,7 +171,7 @@ func TestConcurrentActionsAndGrants(t *testing.T) {
 	// must stay exact: 30 units, 15 buyers of 2 each.
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "stock", 30, nil)
+		return m.only().rm.CreatePool(tx, "stock", 30, nil)
 	})
 	var bought atomic.Int64
 	var wg sync.WaitGroup
@@ -206,9 +206,9 @@ func TestConcurrentActionsAndGrants(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	tx := m.Store().Begin(txn.Block)
+	tx := m.only().store.Begin(txn.Block)
 	defer tx.Commit()
-	p, err := m.Resources().Pool(tx, "stock")
+	p, err := m.only().rm.Pool(tx, "stock")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 func TestCounterOfferSinglePool(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "w", 7, nil)
+		return m.only().rm.CreatePool(tx, "w", 7, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("c", "w", 10))
 	if pr.Accepted {
@@ -34,7 +34,7 @@ func TestCounterOfferSinglePool(t *testing.T) {
 func TestCounterOfferMultiPool(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		rm := m.Resources()
+		rm := m.only().rm
 		if err := rm.CreatePool(tx, "a", 3, nil); err != nil {
 			return err
 		}
@@ -70,7 +70,7 @@ func TestCounterOfferMultiPool(t *testing.T) {
 func TestCounterOfferAccountsForOutstandingPromises(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "w", 10, nil)
+		return m.only().rm.CreatePool(tx, "w", 10, nil)
 	})
 	_ = grantOne(t, m, requestQuantity("other", "w", 6))
 	pr := grantOne(t, m, requestQuantity("c", "w", 10))
@@ -85,7 +85,7 @@ func TestCounterOfferAccountsForOutstandingPromises(t *testing.T) {
 func TestNoCounterWhenNothingAvailable(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "w", 5, nil)
+		return m.only().rm.CreatePool(tx, "w", 5, nil)
 	})
 	_ = grantOne(t, m, requestQuantity("other", "w", 5))
 	pr := grantOne(t, m, requestQuantity("c", "w", 1))

@@ -13,7 +13,7 @@ import (
 
 // degGrant grants one quantity promise and returns its id ("" on reject or
 // error; err carries the transport/engine failure).
-func degGrant(ctx context.Context, e durEngine, client, pool string, dur time.Duration) (string, error) {
+func degGrant(ctx context.Context, e *Manager, client, pool string, dur time.Duration) (string, error) {
 	resp, err := e.Execute(ctx, Request{Client: client, PromiseRequests: []PromiseRequest{{
 		Predicates: []Predicate{Quantity(pool, 1)},
 		Duration:   dur,
@@ -54,7 +54,7 @@ func TestDegradedModeEntryReadsAndRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("healthy grant: %v", err)
 			}
-			if h := e.(HealthReporter).Health(); h.Degraded {
+			if h := e.Health(); h.Degraded {
 				t.Fatalf("degraded before any failure: %+v", h)
 			}
 
@@ -68,7 +68,7 @@ func TestDegradedModeEntryReadsAndRecovery(t *testing.T) {
 			} else if errors.Is(err, ErrDegraded) {
 				t.Fatalf("first failing commit must report 'not durable', not the degraded reject: %v", err)
 			}
-			h := e.(HealthReporter).Health()
+			h := e.Health()
 			if !h.Degraded || h.Reason == "" {
 				t.Fatalf("health after sync failure = %+v, want degraded with reason", h)
 			}
@@ -93,14 +93,14 @@ func TestDegradedModeEntryReadsAndRecovery(t *testing.T) {
 			// A probe fired while the fault persists must not restore
 			// service.
 			clk.Advance(5 * time.Second)
-			if h := e.(HealthReporter).Health(); !h.Degraded {
+			if h := e.Health(); !h.Degraded {
 				t.Fatal("probe against a still-broken log restored service")
 			}
 
 			// Fault clears; the next probe restores service end to end.
 			failpoint.Reset()
 			clk.Advance(5 * time.Second)
-			if h := e.(HealthReporter).Health(); h.Degraded {
+			if h := e.Health(); h.Degraded {
 				t.Fatalf("health after successful re-probe = %+v", h)
 			}
 			recovered, err := degGrant(ctx, e, "alice", "widgets", time.Hour)
@@ -136,7 +136,7 @@ func TestDegradedAppendFailureTrips(t *testing.T) {
 	if _, err := degGrant(ctx, e, "bob", "widgets", time.Hour); err == nil {
 		t.Fatal("grant with failing append reported success")
 	}
-	if h := e.(HealthReporter).Health(); !h.Degraded {
+	if h := e.Health(); !h.Degraded {
 		t.Fatal("append failure did not trip degraded mode")
 	}
 	failpoint.Reset()
@@ -185,7 +185,7 @@ func TestDegradedRecoveryAfterRestart(t *testing.T) {
 	if err != nil || errs[0] != nil {
 		t.Fatalf("recovered CheckBatch = %v / %v", err, errs)
 	}
-	if h := e2.(HealthReporter).Health(); h.Degraded {
+	if h := e2.Health(); h.Degraded {
 		t.Fatalf("reopened engine degraded: %+v", h)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 )
 
@@ -35,73 +34,4 @@ type Supplier interface {
 	// ConsumePromise fulfils qty units under the upstream promise and
 	// releases it (the backorder ships).
 	ConsumePromise(ctx context.Context, id string, qty int64) error
-}
-
-// ManagerSupplier adapts a local Manager into a Supplier, letting tests and
-// examples build merchant→distributor chains in-process; the transport
-// package provides the cross-process equivalent (RemoteSupplier), and the
-// two are interchangeable because both front a promises-style Engine.
-type ManagerSupplier struct {
-	// M is the upstream manager.
-	M *Manager
-	// Client is the identity the downstream manager uses upstream.
-	Client string
-}
-
-// RequestPromise implements Supplier.
-func (s *ManagerSupplier) RequestPromise(ctx context.Context, pool string, qty int64, d time.Duration) (string, error) {
-	resp, err := s.M.Execute(ctx, Request{
-		Client: s.Client,
-		PromiseRequests: []PromiseRequest{{
-			Predicates: []Predicate{Quantity(pool, qty)},
-			Duration:   d,
-		}},
-	})
-	if err != nil {
-		return "", err
-	}
-	pr := resp.Promises[0]
-	if !pr.Accepted {
-		return "", fmt.Errorf("core: upstream rejected promise for %d of %q: %s", qty, pool, pr.Reason)
-	}
-	return pr.PromiseID, nil
-}
-
-// ReleasePromise implements Supplier.
-func (s *ManagerSupplier) ReleasePromise(ctx context.Context, id string) error {
-	_, err := s.M.Execute(ctx, Request{
-		Client: s.Client,
-		Env:    []EnvEntry{{PromiseID: id, Release: true}},
-	})
-	return err
-}
-
-// ConsumePromise implements Supplier: the upstream application action ships
-// qty units (drawing down the pool) and the protecting promise is released
-// atomically with it (§4, second requirement).
-func (s *ManagerSupplier) ConsumePromise(ctx context.Context, id string, qty int64) error {
-	m := s.M
-	resp, err := m.Execute(ctx, Request{
-		Client: s.Client,
-		Env:    []EnvEntry{{PromiseID: id, Release: true}},
-		Action: func(ac *ActionContext) (any, error) {
-			p, err := m.promise(ac.Tx, id)
-			if err != nil {
-				return nil, err
-			}
-			for _, pred := range p.Predicates {
-				if pred.View != AnonymousView {
-					continue
-				}
-				if _, err := ac.Resources.AdjustPool(ac.Tx, pred.Pool, -qty); err != nil {
-					return nil, err
-				}
-			}
-			return nil, nil
-		},
-	})
-	if err != nil {
-		return err
-	}
-	return resp.ActionErr
 }

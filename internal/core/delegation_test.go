@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,21 +11,53 @@ import (
 	"repro/internal/txn"
 )
 
+// engineSupplier fronts an upstream Manager as a Supplier for in-package
+// delegation chains; promises.EngineSupplier is the exported equivalent
+// for any Engine. The manager never consumes upstream promises itself, so
+// ConsumePromise is not needed here.
+type engineSupplier struct {
+	m      *Manager
+	client string
+}
+
+func (s *engineSupplier) RequestPromise(ctx context.Context, pool string, qty int64, d time.Duration) (string, error) {
+	resp, err := s.m.Execute(ctx, Request{Client: s.client, PromiseRequests: []PromiseRequest{{
+		Predicates: []Predicate{Quantity(pool, qty)},
+		Duration:   d,
+	}}})
+	if err != nil {
+		return "", err
+	}
+	pr := resp.Promises[0]
+	if !pr.Accepted {
+		return "", fmt.Errorf("upstream rejected %d of %q: %s", qty, pool, pr.Reason)
+	}
+	return pr.PromiseID, nil
+}
+
+func (s *engineSupplier) ReleasePromise(ctx context.Context, id string) error {
+	return s.m.Release(ctx, s.client, id)
+}
+
+func (s *engineSupplier) ConsumePromise(context.Context, string, int64) error {
+	return errors.New("engineSupplier: consume not supported")
+}
+
 // newSupplyChain builds distributor -> merchant with the distributor
 // registered as the merchant's supplier for the given pool.
 func newSupplyChain(t *testing.T, pool string, merchantStock, distributorStock int64) (merchant, distributor *Manager) {
 	t.Helper()
 	distributor, _ = newManager(t, Config{})
 	seed(t, distributor, func(tx *txn.Tx) error {
-		return distributor.Resources().CreatePool(tx, pool, distributorStock, nil)
+		return distributor.only().rm.CreatePool(tx, pool, distributorStock, nil)
 	})
 	merchant, _ = newManager(t, Config{
 		Suppliers: map[string]Supplier{
-			pool: &ManagerSupplier{M: distributor, Client: "merchant"},
+			pool: &engineSupplier{m: distributor, client: "merchant"},
 		},
 	})
 	seed(t, merchant, func(tx *txn.Tx) error {
-		return merchant.Resources().CreatePool(tx, pool, merchantStock, nil)
+		return merchant.only().rm.CreatePool(tx, pool, merchantStock, nil)
 	})
 	return merchant, distributor
 }
@@ -76,7 +109,7 @@ func TestDelegationUpstreamRejectionRejectsLocally(t *testing.T) {
 func TestDelegationNoSupplierRejects(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "widgets", 3, nil)
+		return m.only().rm.CreatePool(tx, "widgets", 3, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("c", "widgets", 8))
 	if pr.Accepted {
@@ -112,15 +145,15 @@ func TestDelegationReleasePropagatesUpstream(t *testing.T) {
 func TestDelegationExpiryPropagatesUpstream(t *testing.T) {
 	distributor, _ := newManager(t, Config{})
 	seed(t, distributor, func(tx *txn.Tx) error {
-		return distributor.Resources().CreatePool(tx, "w", 10, nil)
+		return distributor.only().rm.CreatePool(tx, "w", 10, nil)
 	})
 	fakeMerchant := Config{
 		DefaultDuration: time.Minute,
-		Suppliers:       map[string]Supplier{"w": &ManagerSupplier{M: distributor, Client: "m"}},
+		Suppliers:       map[string]Supplier{"w": &engineSupplier{m: distributor, client: "m"}},
 	}
 	merchant, fake := newManager(t, fakeMerchant)
 	seed(t, merchant, func(tx *txn.Tx) error {
-		return merchant.Resources().CreatePool(tx, "w", 2, nil)
+		return merchant.only().rm.CreatePool(tx, "w", 2, nil)
 	})
 	pr := grantOne(t, merchant, requestQuantity("c", "w", 6))
 	if !pr.Accepted {
@@ -128,42 +161,12 @@ func TestDelegationExpiryPropagatesUpstream(t *testing.T) {
 	}
 	info, _ := merchant.PromiseInfo(pr.PromiseID)
 	fake.Advance(2 * time.Minute)
-	if err := merchant.Sweep(); err != nil {
-		t.Fatal(err)
-	}
 	up, err := distributor.PromiseInfo(info.DelegatedID[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if up.State != Released {
 		t.Fatalf("upstream after local expiry = %v, want released", up.State)
-	}
-}
-
-func TestManagerSupplierConsume(t *testing.T) {
-	distributor, _ := newManager(t, Config{})
-	seed(t, distributor, func(tx *txn.Tx) error {
-		return distributor.Resources().CreatePool(tx, "w", 10, nil)
-	})
-	sup := &ManagerSupplier{M: distributor, Client: "m"}
-	id, err := sup.RequestPromise(bg, "w", 4, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.ConsumePromise(bg, id, 4); err != nil {
-		t.Fatal(err)
-	}
-	if onHand, _ := distributor.PoolLevel("w"); onHand != 6 {
-		t.Fatalf("distributor on hand = %d, want 6", onHand)
-	}
-	if err := sup.ReleasePromise(bg, id); err == nil {
-		// Releasing a released promise reports the state error in
-		// Response.ActionErr, not as a transport error; both are fine as
-		// long as state is consistent.
-		info, _ := distributor.PromiseInfo(id)
-		if info.State != Released {
-			t.Fatalf("promise state = %v", info.State)
-		}
 	}
 }
 
@@ -190,7 +193,7 @@ func TestDelegationSupplierErrorRejects(t *testing.T) {
 	sup.fail.Store(true)
 	m, _ := newManager(t, Config{Suppliers: map[string]Supplier{"w": sup}})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "w", 2, nil)
+		return m.only().rm.CreatePool(tx, "w", 2, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("c", "w", 5))
 	if pr.Accepted {
@@ -208,7 +211,7 @@ func TestDelegationMultiPredicateCompensation(t *testing.T) {
 	sup := &flakySupplier{}
 	m, _ := newManager(t, Config{Suppliers: map[string]Supplier{"w": sup}})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "w", 2, nil)
+		return m.only().rm.CreatePool(tx, "w", 2, nil)
 	})
 	resp, err := m.Execute(bg, Request{Client: "c", PromiseRequests: []PromiseRequest{{
 		Predicates: []Predicate{

@@ -9,9 +9,8 @@ package core
 // committed transaction — written from the store's commit hook, which runs
 // under the snapshot-publication mutex, so log order equals version order.
 // A single shared bus log carries one "events" record per published event
-// batch (appended under the bus mutex, so log order equals Seq order) and,
-// for sharded engines, "dir" records mirroring every composite-directory
-// mutation. A "gen" marker separates log generations: it is appended when
+// batch (appended under the bus mutex, so log order equals Seq order) and
+// "dir" records mirroring every composite-directory mutation. A "gen" marker separates log generations: it is appended when
 // a recovered engine reopens its log, so a crash before the recovered
 // engine's first checkpoint cannot confuse the old generation's version
 // numbering with the new one's.
@@ -45,8 +44,7 @@ const (
 // daemon's -sync vocabulary.
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(s) }
 
-// DurabilityOptions configures a durable engine (OpenDurable /
-// OpenDurableSharded).
+// DurabilityOptions configures a durable engine (OpenDurable).
 type DurabilityOptions struct {
 	// Dir is the data directory. Required. One live process per directory;
 	// the layout is documented in docs/operations.md.
@@ -147,8 +145,7 @@ type storeCheckpoint struct {
 	Tables map[string]map[string]json.RawMessage `json:"tables"`
 }
 
-// busCheckpoint is the shared bus (and, sharded, composite directory)
-// state.
+// busCheckpoint is the shared bus and composite-directory state.
 type busCheckpoint struct {
 	Seq        uint64         `json:"seq"`
 	Ring       []Event        `json:"ring,omitempty"`
@@ -381,26 +378,21 @@ func (p *persistLog) logEvents(events []Event) {
 	p.appendRecord(&walRecord{T: recEvents, Events: events})
 }
 
-// durSync forces this manager's commit and event appends to stable storage
-// (per the sync policy) and surfaces latched append failures. Nil-safe: a
-// non-durable manager pays one branch.
-func (m *Manager) durSync() error {
+// durSync forces this shard's commit appends to stable storage (per the
+// sync policy) and surfaces latched append failures. Nil-safe: a
+// non-durable shard pays one branch.
+func (m *shard) durSync() error {
 	if m.persist == nil {
 		return nil
 	}
-	if err := m.persist.sync(); err != nil {
-		return err
-	}
-	if m.busPersist != nil {
-		return m.busPersist.sync()
-	}
-	return nil
+	return m.persist.sync()
 }
 
 // durSync forces the shared bus log (events and directory records) to
 // stable storage; per-shard commit syncs happen inside the shard that
-// committed.
-func (s *ShardedManager) durSync() error {
+// committed, and every mutating entry point syncs the bus before it
+// answers.
+func (s *Manager) durSync() error {
 	if s.busPersist == nil {
 		return nil
 	}
@@ -408,7 +400,7 @@ func (s *ShardedManager) durSync() error {
 }
 
 // logDirAdd mirrors registerComposite into the bus log.
-func (s *ShardedManager) logDirAdd(id string, c *composite) {
+func (s *Manager) logDirAdd(id string, c *composite) {
 	if s.busPersist == nil {
 		return
 	}
@@ -416,7 +408,7 @@ func (s *ShardedManager) logDirAdd(id string, c *composite) {
 }
 
 // logDirMove mirrors one committed slot migration into the bus log.
-func (s *ShardedManager) logDirMove(promiseID string, to int) {
+func (s *Manager) logDirMove(promiseID string, to int) {
 	if s.busPersist == nil {
 		return
 	}
@@ -424,7 +416,7 @@ func (s *ShardedManager) logDirMove(promiseID string, to int) {
 }
 
 // logDirDrop mirrors dropComposite into the bus log.
-func (s *ShardedManager) logDirDrop(id string) {
+func (s *Manager) logDirDrop(id string) {
 	if s.busPersist == nil {
 		return
 	}

@@ -16,57 +16,28 @@ import (
 	"repro/internal/wal"
 )
 
-// durEngine is the surface the durability tests drive — both *Manager and
-// *ShardedManager implement it.
-type durEngine interface {
-	Execute(ctx context.Context, req Request) (*Response, error)
-	CheckBatch(ctx context.Context, client string, ids []string) ([]error, error)
-	Release(ctx context.Context, client string, ids ...string) error
-	Watch(ctx context.Context, opts WatchOptions) (<-chan Event, error)
-	Audit() (*AuditReport, error)
-	CreatePool(id string, onHand int64, props map[string]predicate.Value) error
-	CreateInstance(id string, props map[string]predicate.Value) error
-	PoolLevel(pool string) (int64, error)
-	Checkpoint() error
-	Close() error
-}
-
 var durBase = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-func openDur(t *testing.T, dir string, shards int, clk clock.Clock, opts DurabilityOptions) durEngine {
+func openDur(t *testing.T, dir string, shards int, clk clock.Clock, opts DurabilityOptions) *Manager {
 	t.Helper()
 	opts.Dir = dir
-	if shards > 1 {
-		s, err := OpenDurableSharded(ShardedConfig{Shards: shards, Config: Config{Clock: clk}}, opts)
-		if err != nil {
-			t.Fatalf("OpenDurableSharded: %v", err)
-		}
-		return s
-	}
-	m, err := OpenDurable(Config{Clock: clk}, opts)
+	m, err := OpenDurable(Config{Shards: shards, Clock: clk}, opts)
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
 	return m
 }
 
-func openRef(t *testing.T, shards int, clk clock.Clock) durEngine {
+func openRef(t *testing.T, shards int, clk clock.Clock) *Manager {
 	t.Helper()
-	if shards > 1 {
-		s, err := NewSharded(ShardedConfig{Shards: shards, Config: Config{Clock: clk}})
-		if err != nil {
-			t.Fatalf("NewSharded: %v", err)
-		}
-		return s
-	}
-	m, err := New(Config{Clock: clk})
+	m, err := New(Config{Shards: shards, Clock: clk})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	return m
 }
 
-func seedDur(t *testing.T, e durEngine) {
+func seedDur(t *testing.T, e *Manager) {
 	t.Helper()
 	for _, p := range []string{"widgets", "gadgets", "sprockets"} {
 		if err := e.CreatePool(p, 40, nil); err != nil {
@@ -87,7 +58,7 @@ func seedDur(t *testing.T, e durEngine) {
 // drainReplay collects everything a Replay subscription delivers before the
 // first live event. Replay happens synchronously inside Watch (into the
 // buffered channel), so a non-blocking drain sees the full retained tail.
-func drainReplay(t *testing.T, e durEngine, afterSeq uint64) []Event {
+func drainReplay(t *testing.T, e *Manager, afterSeq uint64) []Event {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -117,7 +88,7 @@ func sameEvent(a, b Event) bool {
 type pairHarness struct {
 	t         *testing.T
 	ctx       context.Context
-	dur, ref  durEngine
+	dur, ref  *Manager
 	dClk      *clock.Fake
 	rClk      *clock.Fake
 	rng       *rand.Rand
@@ -293,7 +264,7 @@ func (h *pairHarness) assertEquivalent() {
 			h.t.Errorf("PoolLevel(%s): durable=%d(%v) reference=%d(%v)", p, la, ea, lb, eb)
 		}
 	}
-	for name, e := range map[string]durEngine{"durable": h.dur, "reference": h.ref} {
+	for name, e := range map[string]*Manager{"durable": h.dur, "reference": h.ref} {
 		rep, err := e.Audit()
 		if err != nil {
 			h.t.Fatalf("Audit (%s): %v", name, err)
@@ -360,7 +331,7 @@ func TestDurableWatchResumeAcrossRestart(t *testing.T) {
 	e := openDur(t, dir, 1, clk, DurabilityOptions{CheckpointEvery: -1})
 	seedDur(t, e)
 
-	grant := func(e durEngine, n int) string {
+	grant := func(e *Manager, n int) string {
 		t.Helper()
 		resp, err := e.Execute(ctx, Request{Client: "alice", PromiseRequests: []PromiseRequest{{
 			Predicates: []Predicate{Quantity("widgets", int64(n))},
@@ -551,6 +522,84 @@ func TestCheckpointCadenceDisabled(t *testing.T) {
 	}
 }
 
+// TestReopenSingleStoreDirectory reopens testdata/single-store, a data
+// directory written by the single-store engine that preceded the one engine
+// type: its manifest says one shard and its promise ids carry no shard
+// index ("prm-<n>"). A one-shard engine is that store's successor — the
+// directory's shard-0 log is its only shard — so the old ids must route to
+// shard 0 on every path, and the ids the engine issues from now on
+// ("prm0-<n>") must not collide with them. The directory was produced by
+// this program against the single-store engine, on a fake clock at
+// 2007-01-07T00:00Z and without Close (so recovery replays log records):
+//
+//	m, _ := core.OpenDurable(core.Config{Clock: clk, DefaultDuration: time.Hour,
+//		MaxDuration: time.Hour}, core.DurabilityOptions{Dir: dir})
+//	_ = m.CreatePool("p", 10, nil)
+//	_ = m.CreateInstance("room", nil)
+//	for _, pred := range []core.Predicate{core.Quantity("p", 3),
+//		core.Quantity("p", 2), core.Named("room")} { // prm-1, prm-2, prm-3
+//		_, _ = m.Execute(ctx, core.Request{Client: "c",
+//			PromiseRequests: []core.PromiseRequest{{Predicates: []core.Predicate{pred}}}})
+//	}
+//	_ = m.Release(ctx, "c", "prm-2")
+func TestReopenSingleStoreDirectory(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "single-store"))); err != nil {
+		t.Fatal(err)
+	}
+	clk := clock.NewFake(time.Date(2007, 1, 7, 0, 0, 0, 0, time.UTC))
+	m, err := OpenDurable(Config{Clock: clk, DefaultDuration: time.Hour, MaxDuration: time.Hour}, DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	for id, want := range map[string]State{"prm-1": Active, "prm-2": Released, "prm-3": Active} {
+		p, err := m.PromiseInfo(id)
+		if err != nil {
+			t.Fatalf("PromiseInfo(%s): %v", id, err)
+		}
+		if p.Client != "c" || p.State != want {
+			t.Fatalf("PromiseInfo(%s) = client %q state %v, want c %v", id, p.Client, p.State, want)
+		}
+	}
+	errs := checkB(t, m, "c", []string{"prm-1", "prm-2", "prm-3", "prm-4"})
+	if errs[0] != nil || !errors.Is(errs[1], ErrPromiseReleased) || errs[2] != nil || !errors.Is(errs[3], ErrPromiseNotFound) {
+		t.Fatalf("CheckBatch = %v, want [nil released nil not-found]", errs)
+	}
+	mustHealthy(t, m)
+
+	// Consume under prm-1, releasing it atomically.
+	resp, err := m.Execute(bg, Request{
+		Client: "c",
+		Env:    []EnvEntry{{PromiseID: "prm-1", Release: true}},
+		Action: func(ac *ActionContext) (any, error) {
+			return ac.Resources.AdjustPool(ac.Tx, "p", -3)
+		},
+	})
+	if err != nil || resp.ActionErr != nil {
+		t.Fatalf("consume under prm-1: %v %v", err, resp.ActionErr)
+	}
+	if lvl, _ := m.PoolLevel("p"); lvl != 7 {
+		t.Fatalf("pool level after consume = %d, want 7", lvl)
+	}
+	if err := m.Release(bg, "c", "prm-3"); err != nil {
+		t.Fatalf("Release(prm-3): %v", err)
+	}
+
+	// Fresh ids carry the shard index and leave the old ones alone.
+	pr := grantQty(t, m, "d", Quantity("p", 7))
+	if !pr.Accepted || pr.PromiseID != "prm0-1" {
+		t.Fatalf("new grant = %+v, want accepted prm0-1", pr)
+	}
+	for _, id := range []string{"prm-1", "prm-3"} {
+		if p, _ := m.PromiseInfo(id); p.Client != "c" || p.State != Released {
+			t.Fatalf("%s after new grant = client %q state %v, want c released", id, p.Client, p.State)
+		}
+	}
+	mustHealthy(t, m)
+}
+
 // TestManifestShardMismatch pins that a data directory remembers its shard
 // count and refuses an engine of a different shape.
 func TestManifestShardMismatch(t *testing.T) {
@@ -560,10 +609,10 @@ func TestManifestShardMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := OpenDurable(Config{Clock: clock.NewFake(durBase)}, DurabilityOptions{Dir: dir}); err == nil {
-		t.Fatal("OpenDurable over a 4-shard directory must fail")
+		t.Fatal("a one-shard engine over a 4-shard directory must open no engine")
 	}
-	if _, err := OpenDurableSharded(ShardedConfig{Shards: 2, Config: Config{Clock: clock.NewFake(durBase)}}, DurabilityOptions{Dir: dir}); err == nil {
-		t.Fatal("OpenDurableSharded(2) over a 4-shard directory must fail")
+	if _, err := OpenDurable(Config{Shards: 2, Clock: clock.NewFake(durBase)}, DurabilityOptions{Dir: dir}); err == nil {
+		t.Fatal("a 2-shard engine over a 4-shard directory must open no engine")
 	}
 	// The matching shape still opens.
 	e = openDur(t, dir, 4, clock.NewFake(durBase), DurabilityOptions{})

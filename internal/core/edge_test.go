@@ -26,7 +26,7 @@ func TestModifySwapNamedInstance(t *testing.T) {
 	// released one — the named-view flavour of §4's third requirement.
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		rm := m.Resources()
+		rm := m.only().rm
 		if err := rm.CreateInstance(tx, "room-1", nil); err != nil {
 			return err
 		}
@@ -56,7 +56,7 @@ func TestModifySwapNamedInstance(t *testing.T) {
 func TestModifyDuplicateReleaseIDs(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("c", "p", 4))
 	// Listing the same release twice must not double-free capacity.
@@ -82,13 +82,13 @@ func TestDelegatedPromiseViolationRollsBack(t *testing.T) {
 	// rollback must leave the upstream promise untouched and active.
 	distributor, _ := newManager(t, Config{})
 	seed(t, distributor, func(tx *txn.Tx) error {
-		return distributor.Resources().CreatePool(tx, "w", 10, nil)
+		return distributor.only().rm.CreatePool(tx, "w", 10, nil)
 	})
 	merchant, _ := newManager(t, Config{
-		Suppliers: map[string]Supplier{"w": &ManagerSupplier{M: distributor, Client: "m"}},
+		Suppliers: map[string]Supplier{"w": &engineSupplier{m: distributor, client: "m"}},
 	})
 	seed(t, merchant, func(tx *txn.Tx) error {
-		return merchant.Resources().CreatePool(tx, "w", 3, nil)
+		return merchant.only().rm.CreatePool(tx, "w", 3, nil)
 	})
 	pr := grantOne(t, merchant, requestQuantity("c", "w", 8)) // 3 local + 5 delegated
 	if !pr.Accepted {
@@ -122,7 +122,7 @@ func TestPropertyPromiseOverStatusBuiltin(t *testing.T) {
 	// request for an instance that is available by its builtin works.
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreateInstance(tx, "x-1", nil)
+		return m.only().rm.CreateInstance(tx, "x-1", nil)
 	})
 	pr := grantOne(t, m, Request{Client: "c", PromiseRequests: []PromiseRequest{{
 		Predicates: []Predicate{MustProperty(`id = "x-1"`)},
@@ -153,7 +153,7 @@ func TestActionResultTypesPreserved(t *testing.T) {
 func TestReleaseIdempotenceViaState(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("c", "p", 5))
 	if _, err := m.Execute(bg, Request{Client: "c", Env: []EnvEntry{{PromiseID: pr.PromiseID, Release: true}}}); err != nil {
@@ -178,7 +178,7 @@ func TestInstanceDeletedUnderPromise(t *testing.T) {
 	// flags it and rolls back.
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreateInstance(tx, "vase", nil)
+		return m.only().rm.CreateInstance(tx, "vase", nil)
 	})
 	pr := grantOne(t, m, Request{Client: "c", PromiseRequests: []PromiseRequest{{
 		Predicates: []Predicate{Named("vase")},
@@ -193,9 +193,9 @@ func TestInstanceDeletedUnderPromise(t *testing.T) {
 		t.Fatalf("ActionErr = %v", resp.ActionErr)
 	}
 	// The vase survives (rolled back) and the promise is intact.
-	tx := m.Store().Begin(txn.Block)
+	tx := m.only().store.Begin(txn.Block)
 	defer tx.Commit()
-	if _, err := m.Resources().Instance(tx, "vase"); err != nil {
+	if _, err := m.only().rm.Instance(tx, "vase"); err != nil {
 		t.Fatalf("vase gone: %v", err)
 	}
 	info, _ := m.PromiseInfo(pr.PromiseID)
@@ -207,7 +207,7 @@ func TestInstanceDeletedUnderPromise(t *testing.T) {
 func TestZeroDurationUsesDefaultAndExpires(t *testing.T) {
 	m, fake := newManager(t, Config{DefaultDuration: 10 * time.Second})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 5, nil)
+		return m.only().rm.CreatePool(tx, "p", 5, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("c", "p", 5))
 	fake.Advance(11 * time.Second)
@@ -219,7 +219,7 @@ func TestZeroDurationUsesDefaultAndExpires(t *testing.T) {
 func TestManyPredicatesOnePromise(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		rm := m.Resources()
+		rm := m.only().rm
 		for i := 0; i < 10; i++ {
 			if err := rm.CreatePool(tx, poolName(i), 5, nil); err != nil {
 				return err
@@ -284,7 +284,7 @@ func TestTerminalPromisesLeaveScannedTable(t *testing.T) {
 	// (quadratic workloads overall).
 	m, fake := newManager(t, Config{DefaultDuration: time.Minute})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 100, nil)
+		return m.only().rm.CreatePool(tx, "p", 100, nil)
 	})
 	var lastReleased, lastExpired string
 	for i := 0; i < 20; i++ {
@@ -299,11 +299,8 @@ func TestTerminalPromisesLeaveScannedTable(t *testing.T) {
 		}
 	}
 	fake.Advance(2 * time.Minute)
-	if err := m.Sweep(); err != nil {
-		t.Fatal(err)
-	}
 	counts := map[string]int{}
-	tx := m.Store().Begin(txn.Block)
+	tx := m.only().store.Begin(txn.Block)
 	for _, tbl := range []string{TablePromises, TablePromisesDone} {
 		if err := tx.Scan(tbl, func(string, txn.Row) bool {
 			counts[tbl]++
@@ -320,16 +317,16 @@ func TestTerminalPromisesLeaveScannedTable(t *testing.T) {
 		t.Fatalf("done table holds %d rows, want 20", counts[TablePromisesDone])
 	}
 	// Terminal promises remain queryable with precise errors.
-	if _, err := m.promiseForClientProbe("c", lastReleased); !errors.Is(err, ErrPromiseReleased) {
+	if _, err := m.only().promiseForClientProbe("c", lastReleased); !errors.Is(err, ErrPromiseReleased) {
 		t.Fatalf("released probe: %v", err)
 	}
-	if _, err := m.promiseForClientProbe("c", lastExpired); !errors.Is(err, ErrPromiseExpired) {
+	if _, err := m.only().promiseForClientProbe("c", lastExpired); !errors.Is(err, ErrPromiseExpired) {
 		t.Fatalf("expired probe: %v", err)
 	}
 }
 
 // promiseForClientProbe runs promiseForClient in a scratch transaction.
-func (m *Manager) promiseForClientProbe(client, id string) (*Promise, error) {
+func (m *shard) promiseForClientProbe(client, id string) (*Promise, error) {
 	tx := m.store.Begin(txn.Block)
 	defer tx.Commit()
 	return m.promiseForClient(tx, client, id)

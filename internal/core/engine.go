@@ -21,7 +21,7 @@ import (
 	"repro/internal/txn"
 )
 
-// ShardedManager is a promise manager whose state is striped across N
+// Manager is the promise manager (§2, §8). Its state is striped across N
 // independent shards so that throughput grows with cores: each shard owns a
 // private transactional store holding its slice of the promise table, the
 // escrow ledger and the soft-lock tags, plus the resource pools and
@@ -44,11 +44,13 @@ import (
 // fails elsewhere. Because releases apply before planning, §4
 // release-with-grant upgrades keep their semantics across shards, and
 // property-view predicates are placed by a single global bipartite match
-// over every shard's candidates (globalmatch.go) — the ShardedManager
-// accepts exactly the requests the single-store Manager accepts, for any
-// shard count. The granted whole is a composite promise ("shp-<n>")
-// tracked in a directory mapping it to its per-shard parts; clients use
-// composite ids exactly like ordinary ones.
+// over every shard's candidates (globalmatch.go) — the engine accepts
+// exactly the requests its one-shard configuration accepts, for any shard
+// count. (At one shard, property requests included, every request takes
+// the single-shard path straight into the shard's §8 transaction.) The
+// granted whole is a composite promise ("shp-<n>") tracked in a directory
+// mapping it to its per-shard parts; clients use composite ids exactly
+// like ordinary ones.
 //
 // Actions run on a single shard and see only that shard's resources.
 // Requests whose action touches resources should set Request.Resources so
@@ -56,10 +58,10 @@ import (
 // lowest-indexed involved shard.
 //
 // Suppliers are passed through to every shard for delegation (§5). A
-// supplier must not route back into the same ShardedManager, or it will
+// supplier must not route back into the same Manager, or it will
 // deadlock on the shard locks it already holds.
-type ShardedManager struct {
-	shards []*managerShard
+type Manager struct {
+	shards []*shard
 	clk    clock.Clock
 	mode   PropertyMode
 
@@ -67,7 +69,7 @@ type ShardedManager struct {
 	// this manager issues ("n0!" for node n0, "" when not federated), so
 	// ids stay globally unique across a cluster and route back to their
 	// issuing node the same way the shard prefix routes them back to
-	// their shard. See ShardedConfig.IDNamespace.
+	// their shard. See Config.IDNamespace.
 	ns string
 
 	// bus is the event bus shared by every shard: per-shard lifecycle
@@ -130,18 +132,6 @@ type ShardedManager struct {
 	health *engineHealth
 }
 
-// managerShard pairs one single-store Manager with the mutex that the
-// lock-ordering protocol acquires on its behalf. Mutating operations (and
-// the reserve/confirm pipeline, which requires sole use of the shard's
-// store) take the write lock; read-only operations (CheckBatch,
-// PromiseInfo, ActivePromises, listings) share the read lock, so reads
-// never queue behind each other — the first concrete step of the lock-free
-// read path.
-type managerShard struct {
-	mu sync.RWMutex
-	m  *Manager
-}
-
 // composite records how a cross-shard promise decomposes into per-shard
 // sub-promises. Entries are never removed once the id has been handed to a
 // client — like the single-store done tables, they are what keeps a
@@ -187,13 +177,26 @@ var errPrefilterWiden = errors.New("core: pre-filter names a shard outside the h
 // definitively.
 const migrationRetryLimit = 4
 
-// ShardedConfig configures a ShardedManager. The embedded Config applies
-// to every shard, which share one clock and supplier map. Store, Resources
-// and IDPrefix must stay zero: each shard owns a fresh store and issues
-// ids under its own prefix.
-type ShardedConfig struct {
-	Config
-	// Shards is the number of state stripes. Zero means 8.
+// PropertyMode selects the implementation technique for property-view
+// promises (§5).
+type PropertyMode int
+
+// Property-view implementation techniques.
+const (
+	// MatchingMode is the satisfiability check of §5 with tentative
+	// allocation: grants and post-action checks run bipartite matching and
+	// may rearrange tentative allocations to admit more promises.
+	MatchingMode PropertyMode = iota
+	// FirstFitMode is the naive ablation: each property promise is bound
+	// to the first satisfying available instance and never moved. The E7
+	// experiment measures how many grants this loses.
+	FirstFitMode
+)
+
+// Config configures a Manager. Every setting applies to every shard, which
+// share one clock, one supplier map and one event bus.
+type Config struct {
+	// Shards is the number of state stripes. Zero means 1.
 	Shards int
 	// IDNamespace, when non-empty, prefixes every promise id with
 	// "<namespace>!" — the cluster layer sets it to the node id so ids
@@ -202,19 +205,61 @@ type ShardedConfig struct {
 	// restarts of a durable node (the id prefix is how recovered ids
 	// route). Empty (the default) issues classic un-namespaced ids.
 	IDNamespace string
+	// Clock drives promise expiry. Nil uses the system clock.
+	Clock clock.Clock
+	// DefaultDuration applies when a request does not name a duration.
+	// Zero means 30 seconds.
+	DefaultDuration time.Duration
+	// MaxDuration caps granted durations (§6: the manager "might … offer
+	// a guarantee that expires sooner than the client wished"). Zero means
+	// 10 minutes.
+	MaxDuration time.Duration
+	// PropertyMode selects the property-view technique.
+	PropertyMode PropertyMode
+	// DisablePostCheck skips the post-action promise check — the E9
+	// ablation demonstrating why §8 requires it. Never set in production.
+	DisablePostCheck bool
+	// Suppliers maps pool ids to upstream promise makers for delegation
+	// (§5). Optional. Suppliers and actions run inside the request's
+	// transaction, so they must never call back into this manager (see
+	// txn.Store.Begin).
+	Suppliers map[string]Supplier
+	// Actions resolves Request.ActionName to a runnable action, so
+	// applications written against the unified Engine surface can invoke
+	// named service operations on a local manager exactly as they would
+	// over the wire. Optional; service.Registry implements it.
+	Actions ActionResolver
+	// ExpiryWarning, when positive, emits an EventExpiryImminent this long
+	// before each promise's deadline, so clients renew reactively instead
+	// of polling CheckBatch. Zero disables the warning.
+	ExpiryWarning time.Duration
+	// DefaultPriority is the tier stamped onto requests that do not name
+	// one (PromiseRequest.Priority == 0). Zero keeps tier 0, which never
+	// preempts; a deployment that wants ordinary traffic to displace spot
+	// holds sets a positive default. See preempt.go.
+	DefaultPriority int
+	// ReplayRing sets the event bus's replay-ring capacity (how far back a
+	// Watch subscriber can resume with AfterSeq). Zero means
+	// DefaultReplayRing.
+	ReplayRing int
+
+	// disableFastPath forces property planning and PropertyContext down the
+	// scan-everything slow path. Tests only: the equivalence suites run
+	// both ways to pin fast ≡ slow.
+	disableFastPath bool
 }
 
-// NewSharded creates a ShardedManager with cfg.Shards independent shards.
-func NewSharded(cfg ShardedConfig) (*ShardedManager, error) {
-	if cfg.Store != nil || cfg.Resources != nil || cfg.IDPrefix != "" {
-		return nil, fmt.Errorf("%w: a sharded engine builds its own stores and id prefixes; leave Store, Resources and IDPrefix unset", ErrBadRequest)
-	}
-	n := cfg.Shards
-	if n <= 0 {
-		n = 8
-	}
+// New creates a Manager with cfg.Shards independent shards.
+func New(cfg Config) (*Manager, error) {
+	n := max(cfg.Shards, 1)
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System{}
+	}
+	if cfg.DefaultDuration <= 0 {
+		cfg.DefaultDuration = 30 * time.Second
+	}
+	if cfg.MaxDuration <= 0 {
+		cfg.MaxDuration = 10 * time.Minute
 	}
 	ns := ""
 	if cfg.IDNamespace != "" {
@@ -223,7 +268,7 @@ func NewSharded(cfg ShardedConfig) (*ShardedManager, error) {
 		}
 		ns = cfg.IDNamespace + "!"
 	}
-	s := &ShardedManager{
+	s := &Manager{
 		clk:     cfg.Clock,
 		mode:    cfg.PropertyMode,
 		ns:      ns,
@@ -231,34 +276,28 @@ func NewSharded(cfg ShardedConfig) (*ShardedManager, error) {
 		compIDs: ids.New(ns + "shp"),
 		partOf:  make(map[string]string),
 	}
+	// dirMu is a leaf lock, safe to take under any shard lock.
+	notPart := func(id string) bool {
+		s.dirMu.Lock()
+		_, part := s.partOf[id]
+		s.dirMu.Unlock()
+		return !part
+	}
 	for i := 0; i < n; i++ {
-		sh := &managerShard{}
-		shardCfg := cfg.Config
-		shardCfg.IDPrefix = fmt.Sprintf("%s%s%d", ns, shardIDPrefix, i)
-		shardCfg.bus = s.bus
-		// Composite members never join a shard-local victim set: a
-		// composite promise is displaced whole or not at all, and only the
-		// coordinator sees the whole. dirMu is a leaf lock, safe to take
-		// under any shard lock.
-		shardCfg.preemptFilter = func(id string) bool {
-			s.dirMu.Lock()
-			_, part := s.partOf[id]
-			s.dirMu.Unlock()
-			return !part
-		}
-		// Deadline-driven expiry mutates the shard's store, so it runs under
-		// the shard's write lock like any other mutation — the
-		// reserve/confirm pipeline's sole-user invariant holds.
-		shardCfg.gate = func(run func()) {
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			run()
-		}
-		m, err := New(shardCfg)
+		sh, err := newShard(cfg, fmt.Sprintf("%s%s%d", ns, shardIDPrefix, i), s.bus, notPart)
 		if err != nil {
 			return nil, err
 		}
-		sh.m = m
+		// A failed deadline pass re-arms itself on a backoff; the counter is
+		// how the failure surfaces (Stats.ExpiryErrors) — there is no caller
+		// to return the error to, nor to report a failed sync of the pass's
+		// events to.
+		sh.exp.fire = func() {
+			if err := sh.expireDue(); err != nil {
+				sh.metrics.expiryErrors.Inc()
+			}
+			_ = s.durSync()
+		}
 		s.shards = append(s.shards, sh)
 	}
 	return s, nil
@@ -266,16 +305,16 @@ func NewSharded(cfg ShardedConfig) (*ShardedManager, error) {
 
 // Watch subscribes to lifecycle events across every shard, merged into one
 // totally ordered stream; see promises.Engine.
-func (s *ShardedManager) Watch(ctx context.Context, opts WatchOptions) (<-chan Event, error) {
+func (s *Manager) Watch(ctx context.Context, opts WatchOptions) (<-chan Event, error) {
 	return s.bus.Watch(ctx, opts)
 }
 
 // NumShards returns the shard count.
-func (s *ShardedManager) NumShards() int { return len(s.shards) }
+func (s *Manager) NumShards() int { return len(s.shards) }
 
 // ShardOf returns the shard index owning the pool or instance with the
 // given id — exposed so tools and tests can place resources deliberately.
-func (s *ShardedManager) ShardOf(resourceID string) int {
+func (s *Manager) ShardOf(resourceID string) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(resourceID))
 	return int(h.Sum32() % uint32(len(s.shards)))
@@ -283,11 +322,13 @@ func (s *ShardedManager) ShardOf(resourceID string) int {
 
 // ownerShard maps a promise id back to its shard: the moved directory for
 // migrated property sub-promises, the "<ns>prm<i>-" prefix otherwise. ok
-// is false for composite ids and ids this manager never issued — a
-// federated id from another node's namespace resolves only through the
-// moved directory (a slot migrated in keeps its original id). Lock-free:
-// this sits on the hot path of every check.
-func (s *ShardedManager) ownerShard(id string) (int, bool) {
+// is false, with shard 0, for composite ids and ids without a shard index —
+// a federated id from another node's namespace resolves only through the
+// moved directory (a slot migrated in keeps its original id). Lookups take
+// shard 0 for those: it holds the "prm-<n>" ids of a data directory
+// written by a single-store engine, and answers not-found for the rest.
+// Lock-free: this sits on the hot path of every check.
+func (s *Manager) ownerShard(id string) (int, bool) {
 	if sh, migrated := s.moved.Load(id); migrated {
 		return sh.(int), true
 	}
@@ -320,7 +361,7 @@ func isCompositeID(id string) bool {
 // lookupComposite returns the directory entry for id, or nil when missing
 // or owned by a different client (pass client "" to skip the owner check).
 // Lock-free: entries are immutable once stored.
-func (s *ShardedManager) lookupComposite(client, id string) *composite {
+func (s *Manager) lookupComposite(client, id string) *composite {
 	v, ok := s.dir.Load(id)
 	if !ok {
 		return nil
@@ -332,7 +373,7 @@ func (s *ShardedManager) lookupComposite(client, id string) *composite {
 	return c
 }
 
-func (s *ShardedManager) dropComposite(id string) {
+func (s *Manager) dropComposite(id string) {
 	if v, ok := s.dir.Load(id); ok {
 		s.dirMu.Lock()
 		for _, part := range v.(*composite).parts {
@@ -348,7 +389,7 @@ func (s *ShardedManager) dropComposite(id string) {
 // order and returns the matching unlock. Ascending acquisition is the whole
 // deadlock-avoidance story: two cross-shard requests can never hold locks
 // in an order that closes a cycle.
-func (s *ShardedManager) lockShards(set map[int]bool) (unlock func()) {
+func (s *Manager) lockShards(set map[int]bool) (unlock func()) {
 	idxs := make([]int, 0, len(set))
 	for i := range set {
 		idxs = append(idxs, i)
@@ -367,7 +408,7 @@ func (s *ShardedManager) lockShards(set map[int]bool) (unlock func()) {
 // addPromiseID adds the shards backing a referenced promise id to set.
 // Composite ids mark the route non-simple; unknown ids land on shard 0,
 // where lookup produces the correct not-found error.
-func (s *ShardedManager) addPromiseID(set map[int]bool, id string, simple *bool) {
+func (s *Manager) addPromiseID(set map[int]bool, id string, simple *bool) {
 	if isCompositeID(id) {
 		*simple = false
 		if c := s.lookupComposite("", id); c != nil {
@@ -379,11 +420,8 @@ func (s *ShardedManager) addPromiseID(set map[int]bool, id string, simple *bool)
 		set[0] = true
 		return
 	}
-	if sh, ok := s.ownerShard(id); ok {
-		set[sh] = true
-		return
-	}
-	set[0] = true
+	sh, _ := s.ownerShard(id)
+	set[sh] = true
 }
 
 // routeRequest computes the shard set one promise request can touch.
@@ -399,7 +437,7 @@ func (s *ShardedManager) addPromiseID(set map[int]bool, id string, simple *bool)
 // caller's re-route-under-locks loop and grantCross's under-lock
 // re-validation (errPrefilterWiden) are what make it sound; see the
 // Phase 1 comment in grantCross for the equivalence argument.
-func (s *ShardedManager) routeRequest(pr PromiseRequest) (set map[int]bool, simple bool) {
+func (s *Manager) routeRequest(pr PromiseRequest) (set map[int]bool, simple bool) {
 	set = make(map[int]bool)
 	simple = true
 	var props []floatPred
@@ -440,7 +478,7 @@ func (s *ShardedManager) routeRequest(pr PromiseRequest) (set map[int]bool, simp
 // route computes the shard set for a whole request, whether the
 // single-shard fast path applies, and the primary shard an action should
 // run on.
-func (s *ShardedManager) route(req Request) (involved map[int]bool, simple bool, primary int) {
+func (s *Manager) route(req Request) (involved map[int]bool, simple bool, primary int) {
 	involved = make(map[int]bool)
 	simple = true
 	for _, pr := range req.PromiseRequests {
@@ -513,7 +551,7 @@ func subsetOf(a, b map[int]bool) bool {
 }
 
 // allShards returns the full shard set.
-func (s *ShardedManager) allShards() map[int]bool {
+func (s *Manager) allShards() map[int]bool {
 	out := make(map[int]bool, len(s.shards))
 	for i := range s.shards {
 		out[i] = true
@@ -527,12 +565,10 @@ func (s *ShardedManager) allShards() map[int]bool {
 // possibly migrating the displaced slot — so the request escalates to the
 // cross-shard pipeline under the full lock set. First-fit mode never
 // rearranges, so it never escalates (the owning shard rejects exactly as
-// the single store would). The caller must hold the lock of every shard
-// the request routes to; named instances' shards always are in the route.
-func (s *ShardedManager) needsGlobal(req Request) (bool, error) {
-	if s.mode == FirstFitMode {
-		return false, nil
-	}
+// the single store would), and at one shard the shard's own matcher is the
+// joint match. The caller must hold the lock of every shard the request
+// routes to; named instances' shards always are in the route.
+func (s *Manager) needsGlobal(req Request) (bool, error) {
 	for _, pr := range req.PromiseRequests {
 		held, err := s.promiseRequestNeedsGlobal(pr)
 		if err != nil || held {
@@ -543,12 +579,15 @@ func (s *ShardedManager) needsGlobal(req Request) (bool, error) {
 }
 
 // promiseRequestNeedsGlobal is needsGlobal for one promise request.
-func (s *ShardedManager) promiseRequestNeedsGlobal(pr PromiseRequest) (bool, error) {
+func (s *Manager) promiseRequestNeedsGlobal(pr PromiseRequest) (bool, error) {
+	if s.mode == FirstFitMode || len(s.shards) == 1 {
+		return false, nil
+	}
 	for _, p := range pr.Predicates {
 		if p.View != NamedView {
 			continue
 		}
-		held, err := s.shards[s.ShardOf(p.Instance)].m.propertySlotHolder(p.Instance)
+		held, err := s.shards[s.ShardOf(p.Instance)].propertySlotHolder(p.Instance)
 		if err != nil || held {
 			return held, err
 		}
@@ -556,10 +595,12 @@ func (s *ShardedManager) promiseRequestNeedsGlobal(pr PromiseRequest) (bool, err
 	return false, nil
 }
 
-// Execute processes one client message, exactly like Manager.Execute but
-// with state striped across shards. Single-shard requests delegate to the
-// owning shard's manager; cross-shard requests run the composite protocol
-// under the ordered lock set.
+// Execute processes one client message — grants/rejects its promise
+// requests, runs its action under its promise environment, applies release
+// options atomically with action success, and performs the post-action
+// promise check (§8) — with state striped across shards. Single-shard
+// requests run as one transaction on the owning shard; cross-shard
+// requests run the composite protocol under the ordered lock set.
 //
 // Routing resolves composite ids and migrated promises against the
 // directory lock-free, so the request is re-routed after the locks are
@@ -572,13 +613,13 @@ func (s *ShardedManager) promiseRequestNeedsGlobal(pr PromiseRequest) (bool, err
 // Cancellation is honoured before any lock is taken and, for cross-shard
 // requests, between per-shard reservations (see grantCross) — a dead client
 // aborts the whole pipeline before anything is confirmed, leaking no state.
-func (s *ShardedManager) Execute(ctx context.Context, req Request) (*Response, error) {
+func (s *Manager) Execute(ctx context.Context, req Request) (*Response, error) {
 	if req.Client == "" {
 		return nil, fmt.Errorf("%w: missing client", ErrBadRequest)
 	}
 	// Degraded read-only mode rejects mutations before any routing or
-	// locking; the shard managers gate their own entry points too, but
-	// cross-shard paths bypass Manager.Execute.
+	// locking; the shards gate their own entry points too, but cross-shard
+	// paths bypass shard.Execute.
 	if err := s.health.reject(); err != nil {
 		return nil, err
 	}
@@ -594,6 +635,21 @@ func (s *ShardedManager) Execute(ctx context.Context, req Request) (*Response, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	resp, err := s.execute(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	// The shards synced their own commit logs; the events and directory
+	// records the request produced live in the shared bus log.
+	if err := s.durSync(); err != nil {
+		return nil, fmt.Errorf("core: commit not durable: %w", err)
+	}
+	return resp, nil
+}
+
+// execute is Execute after validation: route, lock, and run the request on
+// one shard or through the cross-shard pipeline.
+func (s *Manager) execute(ctx context.Context, req Request) (*Response, error) {
 	involved, _, _ := s.route(req)
 	for {
 		unlock := s.lockShards(involved)
@@ -607,7 +663,7 @@ func (s *ShardedManager) Execute(ctx context.Context, req Request) (*Response, e
 			if !esc || len(involved) == len(s.shards) {
 				if simple && !esc {
 					defer unlock()
-					return s.shards[primary].m.Execute(ctx, req)
+					return s.shards[primary].Execute(ctx, req)
 				}
 				resp, err := s.executeCross(ctx, req, primary, involved)
 				unlock()
@@ -634,7 +690,7 @@ func (s *ShardedManager) Execute(ctx context.Context, req Request) (*Response, e
 // touch. An errPrefilterWiden from grantCross propagates to the caller
 // (with earlier grants in the message compensated like any other
 // failure) so the whole message retries under the full lock set.
-func (s *ShardedManager) executeCross(ctx context.Context, req Request, primary int, locked map[int]bool) (*Response, error) {
+func (s *Manager) executeCross(ctx context.Context, req Request, primary int, locked map[int]bool) (*Response, error) {
 	resp := &Response{}
 	for _, pr := range req.PromiseRequests {
 		presp, err := s.grantCross(ctx, req.Client, pr, locked)
@@ -655,8 +711,8 @@ func (s *ShardedManager) executeCross(ctx context.Context, req Request, primary 
 		envErr = s.validateEnvGroups(req.Client, groups)
 	}
 	switch {
-	// A named action is resolved by the primary shard's manager, so it
-	// counts as an action here even though req.Action is still nil.
+	// A named action is resolved by the primary shard, so it counts as an
+	// action here even though req.Action is still nil.
 	case req.Action != nil || req.ActionName != "":
 		if envErr != nil {
 			resp.ActionErr = envErr
@@ -666,7 +722,7 @@ func (s *ShardedManager) executeCross(ctx context.Context, req Request, primary 
 		// transaction on the primary; the other shards' releases apply
 		// afterwards, invisible to concurrent clients because the full
 		// lock set is held throughout.
-		sub, err := s.shards[primary].m.Execute(ctx, Request{
+		sub, err := s.shards[primary].Execute(ctx, Request{
 			Client:       req.Client,
 			Env:          groups[primary],
 			Action:       req.Action,
@@ -698,14 +754,14 @@ func (s *ShardedManager) executeCross(ctx context.Context, req Request, primary 
 // whole message to fail: the client never learns the promise id, so the
 // grant must not outlive the call. Compensation ignores the request's
 // context — it must run even (especially) when the client is gone.
-func (s *ShardedManager) releaseGrant(client string, pr PromiseResponse) {
+func (s *Manager) releaseGrant(client string, pr PromiseResponse) {
 	if !pr.Accepted {
 		return
 	}
 	if isCompositeID(pr.PromiseID) {
 		if c := s.lookupComposite(client, pr.PromiseID); c != nil {
 			for _, part := range c.parts {
-				_, _ = s.shards[part.shard].m.Execute(context.Background(), Request{
+				_, _ = s.shards[part.shard].Execute(context.Background(), Request{
 					Client: client,
 					Env:    []EnvEntry{{PromiseID: part.id, Release: true}},
 				})
@@ -715,7 +771,7 @@ func (s *ShardedManager) releaseGrant(client string, pr PromiseResponse) {
 		return
 	}
 	if sh, ok := s.ownerShard(pr.PromiseID); ok {
-		_, _ = s.shards[sh].m.Execute(context.Background(), Request{
+		_, _ = s.shards[sh].Execute(context.Background(), Request{
 			Client: client,
 			Env:    []EnvEntry{{PromiseID: pr.PromiseID, Release: true}},
 		})
@@ -725,7 +781,7 @@ func (s *ShardedManager) releaseGrant(client string, pr PromiseResponse) {
 // splitEnv decomposes an environment into per-shard environments, expanding
 // composite promises into their parts. The error mirrors validateEnv's
 // client-visible sentinels.
-func (s *ShardedManager) splitEnv(client string, env []EnvEntry) (map[int][]EnvEntry, error) {
+func (s *Manager) splitEnv(client string, env []EnvEntry) (map[int][]EnvEntry, error) {
 	groups := make(map[int][]EnvEntry)
 	for _, e := range env {
 		if isCompositeID(e.PromiseID) {
@@ -738,19 +794,16 @@ func (s *ShardedManager) splitEnv(client string, env []EnvEntry) (map[int][]EnvE
 			}
 			continue
 		}
-		sh, ok := s.ownerShard(e.PromiseID)
-		if !ok {
-			sh = 0
-		}
+		sh, _ := s.ownerShard(e.PromiseID)
 		groups[sh] = append(groups[sh], e)
 	}
 	return groups, nil
 }
 
 // validateEnvGroups checks every per-shard environment, in shard order.
-func (s *ShardedManager) validateEnvGroups(client string, groups map[int][]EnvEntry) error {
+func (s *Manager) validateEnvGroups(client string, groups map[int][]EnvEntry) error {
 	for _, sh := range sortedKeys(groups) {
-		if err := s.shards[sh].m.envOK(client, groups[sh]); err != nil {
+		if err := s.shards[sh].envOK(client, groups[sh]); err != nil {
 			return err
 		}
 	}
@@ -763,7 +816,7 @@ func (s *ShardedManager) validateEnvGroups(client string, groups map[int][]EnvEn
 // the held locks, so the only failures left are clock expiry (the sweep
 // frees those holds anyway) and internal store errors, and neither may
 // turn a committed action into a client-visible failure.
-func (s *ShardedManager) applyReleaseGroups(client string, groups map[int][]EnvEntry, skipShard int) {
+func (s *Manager) applyReleaseGroups(client string, groups map[int][]EnvEntry, skipShard int) {
 	for _, sh := range sortedKeys(groups) {
 		if sh == skipShard {
 			continue
@@ -778,7 +831,7 @@ func (s *ShardedManager) applyReleaseGroups(client string, groups map[int][]EnvE
 			continue
 		}
 		// Best-effort by contract (see above): never cancelled mid-way.
-		_, _ = s.shards[sh].m.Execute(context.Background(), Request{Client: client, Env: rel})
+		_, _ = s.shards[sh].Execute(context.Background(), Request{Client: client, Env: rel})
 	}
 }
 
@@ -796,7 +849,7 @@ func (s *ShardedManager) applyReleaseGroups(client string, groups map[int][]EnvE
 // no state outlives the cancelled call. Once the first shard has confirmed
 // the pipeline runs to completion; cancellation can no longer split the
 // grant.
-func (s *ShardedManager) grantCross(ctx context.Context, client string, pr PromiseRequest, locked map[int]bool) (PromiseResponse, error) {
+func (s *Manager) grantCross(ctx context.Context, client string, pr PromiseRequest, locked map[int]bool) (PromiseResponse, error) {
 	reject := func(format string, args ...any) PromiseResponse {
 		return PromiseResponse{Correlation: pr.RequestID, Reason: fmt.Sprintf(format, args...)}
 	}
@@ -811,7 +864,7 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 	// Normalize the tier here (pr is a copy) so the coordinator and every
 	// shard agree on it; shard configs share one DefaultPriority.
 	if pr.Priority == 0 {
-		pr.Priority = s.shards[0].m.cfg.DefaultPriority
+		pr.Priority = s.shards[0].cfg.DefaultPriority
 	}
 
 	// Partition release targets to their owning shards, expanding composite
@@ -844,10 +897,10 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 	// any shard's answer is the answer). The capped value also prices the
 	// pinned grants below, so a floating predicate cannot outlive the
 	// caller's deadline either.
-	durCapped, durReason := s.shards[0].m.grantDuration(ctx, pr.Duration, pr.MinDuration)
+	durCapped, durReason := s.shards[0].grantDuration(ctx, pr.Duration, pr.MinDuration)
 	if durReason != "" {
-		s.shards[0].m.metrics.requests.Inc()
-		s.shards[0].m.metrics.rejections.Inc()
+		s.shards[0].metrics.requests.Inc()
+		s.shards[0].metrics.rejections.Inc()
 		return reject("%s", durReason), nil
 	}
 
@@ -874,7 +927,7 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 				// shard the route never locked; the deferred predicate
 				// joins floating, so Phase 1's clamp check below catches
 				// that case and widens rather than plan past the held set.
-				held, err := s.shards[s.ShardOf(p.Instance)].m.propertySlotHolder(p.Instance)
+				held, err := s.shards[s.ShardOf(p.Instance)].propertySlotHolder(p.Instance)
 				if err != nil {
 					return PromiseResponse{}, err
 				}
@@ -890,9 +943,9 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 	}
 
 	// Same-shard request: when every predicate and every release target
-	// lives on one shard (and no release is composite, which the inner
-	// manager cannot resolve), delegate wholesale so the common case stays
-	// one ordinary sub-promise with no reservation or directory overhead.
+	// lives on one shard (and no release is composite, which a shard cannot
+	// resolve), delegate wholesale so the common case stays one ordinary
+	// sub-promise with no reservation or directory overhead.
 	if len(floating) == 0 && len(fixed) == 1 && !hasCompositeRel {
 		for sh := range fixed {
 			sameShard := true
@@ -904,7 +957,7 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 			if !sameShard {
 				break
 			}
-			resp, err := s.shards[sh].m.Execute(ctx, Request{Client: client, PromiseRequests: []PromiseRequest{pr}})
+			resp, err := s.shards[sh].Execute(ctx, Request{Client: client, PromiseRequests: []PromiseRequest{pr}})
 			if err != nil {
 				return PromiseResponse{}, err
 			}
@@ -989,7 +1042,7 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 		for j, idx := range idxs {
 			preds[j] = pr.Predicates[idx]
 		}
-		resv, rejResp, err := s.shards[sh].m.Reserve(ctx, client, ReserveRequest{
+		resv, rejResp, err := s.shards[sh].Reserve(ctx, client, ReserveRequest{
 			Releases:    relByShard[sh],
 			Predicates:  preds,
 			PredIdx:     idxs,
@@ -1045,7 +1098,7 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 				if resvs[i] != nil {
 					continue
 				}
-				resv, rejResp, rerr := s.shards[i].m.Reserve(ctx, client, ReserveRequest{
+				resv, rejResp, rerr := s.shards[i].Reserve(ctx, client, ReserveRequest{
 					Duration:    pr.Duration,
 					MinDuration: pr.MinDuration,
 					Priority:    pr.Priority,
@@ -1076,7 +1129,7 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 			abortAll()
 			// Abort counted the per-shard requests; the client-visible
 			// rejection lands on the lowest involved shard's counter.
-			s.shards[sortedKeys(resvs)[0]].m.metrics.rejections.Inc()
+			s.shards[sortedKeys(resvs)[0]].metrics.rejections.Inc()
 			return reject("property predicates not jointly satisfiable with outstanding promises"), nil
 		}
 		migRows := make([]*Promise, len(migs))
@@ -1174,7 +1227,7 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 		events := make([]Event, 0, len(pendingMoves))
 		for i, mg := range pendingMoves {
 			row := movedRows[i]
-			s.shards[mg.to].m.trackExpiry(row.ID, row.Expires)
+			s.shards[mg.to].trackExpiry(row.ID, row.Expires)
 			events = append(events, Event{
 				Type: EventMigrated, PromiseID: row.ID, Client: row.Client,
 				Time: now, Expires: row.Expires,
@@ -1240,7 +1293,7 @@ func (s *ShardedManager) grantCross(ctx context.Context, client string, pr Promi
 //
 // Everything else — skew in instance placement being the headline case —
 // shrinks the reservation set to the shards that matter.
-func (s *ShardedManager) contributingShards(pr PromiseRequest, floating []floatPred) map[int]bool {
+func (s *Manager) contributingShards(pr PromiseRequest, floating []floatPred) map[int]bool {
 	out := make(map[int]bool, len(s.shards))
 	if s.disablePrefilter {
 		for i := range s.shards {
@@ -1251,7 +1304,7 @@ func (s *ShardedManager) contributingShards(pr PromiseRequest, floating []floatP
 	summaries := make([]*candSummary, len(s.shards))
 	totalSlots := 0
 	for i, sh := range s.shards {
-		summaries[i] = sh.m.cand.summary.Load()
+		summaries[i] = sh.cand.summary.Load()
 		totalSlots += summaries[i].Slots
 	}
 	// Tier 2 applies only with zero slots anywhere; a deferred named
@@ -1299,9 +1352,9 @@ func (s *ShardedManager) contributingShards(pr PromiseRequest, floating []floatP
 
 // releaseParts hands back sub-promises granted earlier in an operation
 // that is now failing, in reverse grant order.
-func (s *ShardedManager) releaseParts(client string, parts []compositePart) {
+func (s *Manager) releaseParts(client string, parts []compositePart) {
 	for i := len(parts) - 1; i >= 0; i-- {
-		_, _ = s.shards[parts[i].shard].m.Execute(context.Background(), Request{
+		_, _ = s.shards[parts[i].shard].Execute(context.Background(), Request{
 			Client: client,
 			Env:    []EnvEntry{{PromiseID: parts[i].id, Release: true}},
 		})
@@ -1311,7 +1364,7 @@ func (s *ShardedManager) releaseParts(client string, parts []compositePart) {
 // registerComposite records a granted composite promise and returns its id
 // and expiry (the earliest part expiry: the whole is only guaranteed while
 // every part holds).
-func (s *ShardedManager) registerComposite(client string, parts []compositePart) (string, time.Time) {
+func (s *Manager) registerComposite(client string, parts []compositePart) (string, time.Time) {
 	expires := parts[0].expires
 	for _, part := range parts[1:] {
 		if part.expires.Before(expires) {
@@ -1341,7 +1394,7 @@ func (s *ShardedManager) registerComposite(client string, parts []compositePart)
 // list, runs into promise-not-found on the vacated shard, and retries
 // against the fresh entry. Called only while every shard lock the
 // migration touched is held.
-func (s *ShardedManager) commitMoves(migs []slotMigration) {
+func (s *Manager) commitMoves(migs []slotMigration) {
 	if len(migs) == 0 {
 		return
 	}
@@ -1378,8 +1431,10 @@ func (s *ShardedManager) commitMoves(migs []slotMigration) {
 // GrantBatch grants many independent promise requests for one client under
 // a single acquisition of the ordered shard lock set, batching the
 // single-shard requests into one transaction per shard. Responses line up
-// with reqs by index; each request is still individually atomic.
-func (s *ShardedManager) GrantBatch(ctx context.Context, client string, reqs []PromiseRequest) ([]PromiseResponse, error) {
+// with reqs by index; each request is still individually atomic — one
+// rejection does not affect its neighbours, exactly as if they had arrived
+// in one §6 message.
+func (s *Manager) GrantBatch(ctx context.Context, client string, reqs []PromiseRequest) ([]PromiseResponse, error) {
 	if client == "" {
 		return nil, fmt.Errorf("%w: missing client", ErrBadRequest)
 	}
@@ -1434,19 +1489,17 @@ retry:
 					crossSet[idx] = true
 				}
 				needAll := false
-				if s.mode == MatchingMode {
-					for i, pr := range reqs {
-						held, err := s.promiseRequestNeedsGlobal(pr)
-						if err != nil {
-							unlock()
-							return nil, err
-						}
-						if held {
-							// The displaced slot may re-home anywhere, so the
-							// request needs the cross path under every lock.
-							crossSet[i] = true
-							needAll = true
-						}
+				for i, pr := range reqs {
+					held, err := s.promiseRequestNeedsGlobal(pr)
+					if err != nil {
+						unlock()
+						return nil, err
+					}
+					if held {
+						// The displaced slot may re-home anywhere, so the
+						// request needs the cross path under every lock.
+						crossSet[i] = true
+						needAll = true
 					}
 				}
 				if !needAll || len(involved) == len(s.shards) {
@@ -1486,14 +1539,14 @@ retry:
 			for j, idx := range idxs {
 				batch[j] = reqs[idx]
 			}
-			resps, err := s.shards[sh].m.GrantBatch(ctx, client, batch)
+			resp, err := s.shards[sh].Execute(ctx, Request{Client: client, PromiseRequests: batch})
 			if err != nil {
 				undo()
 				unlock()
 				return nil, err
 			}
 			for j, idx := range idxs {
-				out[idx] = resps[j]
+				out[idx] = resp.Promises[j]
 			}
 		}
 		for _, idx := range cross {
@@ -1516,13 +1569,18 @@ retry:
 			out[idx] = presp
 		}
 		unlock()
+		if err := s.durSync(); err != nil {
+			return nil, fmt.Errorf("core: commit not durable: %w", err)
+		}
 		return out, nil
 	}
 }
 
-// Release hands back the named promises atomically, exactly like
-// Manager.Release; composite ids expand to their per-shard parts.
-func (s *ShardedManager) Release(ctx context.Context, client string, ids ...string) error {
+// Release hands back the named promises atomically: either every id is
+// usable by client and all are released, or none are and the failure is
+// returned — the pure-release message of §6 as a method. Composite ids
+// expand to their per-shard parts.
+func (s *Manager) Release(ctx context.Context, client string, ids ...string) error {
 	if len(ids) == 0 {
 		return nil
 	}
@@ -1538,7 +1596,11 @@ func (s *ShardedManager) Release(ctx context.Context, client string, ids ...stri
 }
 
 // CheckBatch reports, per promise id, whether the promise is currently
-// usable by client (see Manager.CheckBatch). The whole path is lock-free:
+// usable by client: nil when active and unexpired, otherwise the matching
+// sentinel error (ErrPromiseNotFound, ErrPromiseReleased,
+// ErrPromiseExpired, ErrPromisePreempted). The outer error reports a
+// failure of the check itself (a cancelled context), never a per-promise
+// state. The whole path is lock-free:
 // ids route through the migration directory (atomic map reads) to their
 // shard's immutable store snapshot, so checks never block grants and scale
 // with cores no matter how many writers are running. A racing slot
@@ -1547,7 +1609,7 @@ func (s *ShardedManager) Release(ctx context.Context, client string, ids ...stri
 // bounded number of attempts the remaining ones are resolved definitively
 // under the full shard lock set — the only situation in which a check
 // takes a lock.
-func (s *ShardedManager) CheckBatch(ctx context.Context, client string, ids []string) ([]error, error) {
+func (s *Manager) CheckBatch(ctx context.Context, client string, ids []string) ([]error, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -1558,10 +1620,7 @@ func (s *ShardedManager) CheckBatch(ctx context.Context, client string, ids []st
 			out[i] = s.checkComposite(client, id)
 			continue
 		}
-		sh, ok := s.ownerShard(id)
-		if !ok {
-			sh = 0
-		}
+		sh, _ := s.ownerShard(id)
 		perShard[sh] = append(perShard[sh], i)
 	}
 	for attempt := 0; len(perShard) > 0; attempt++ {
@@ -1571,11 +1630,8 @@ func (s *ShardedManager) CheckBatch(ctx context.Context, client string, ids []st
 			unlock := s.lockShards(s.allShards())
 			for _, shIdx := range sortedKeys(perShard) {
 				for _, idx := range perShard[shIdx] {
-					o, ok := s.ownerShard(ids[idx])
-					if !ok {
-						o = 0
-					}
-					out[idx] = s.shards[o].m.usable(client, ids[idx])
+					o, _ := s.ownerShard(ids[idx])
+					out[idx] = s.shards[o].usable(client, ids[idx])
 				}
 			}
 			unlock()
@@ -1596,7 +1652,7 @@ func (s *ShardedManager) CheckBatch(ctx context.Context, client string, ids []st
 				batch = append(batch, ids[idx])
 				bidx = append(bidx, idx)
 			}
-			errs, err := sh.m.CheckBatch(ctx, client, batch)
+			errs, err := sh.CheckBatch(ctx, client, batch)
 			if err != nil {
 				return nil, err
 			}
@@ -1608,10 +1664,7 @@ func (s *ShardedManager) CheckBatch(ctx context.Context, client string, ids []st
 				// read, the miss is definitive; otherwise re-dispatch, with
 				// the freeze pass settling persistent races.
 				if errors.Is(errs[j], ErrPromiseNotFound) && !s.migrationsQuiescedAt(mseq) {
-					o, ok := s.ownerShard(ids[idx])
-					if !ok {
-						o = 0
-					}
+					o, _ := s.ownerShard(ids[idx])
 					next[o] = append(next[o], idx)
 					continue
 				}
@@ -1626,14 +1679,14 @@ func (s *ShardedManager) CheckBatch(ctx context.Context, client string, ids []st
 // migrationsQuiescedAt reports whether no slot migration was in flight
 // when before was loaded and none has begun or finished since — making a
 // not-found read taken in between definitive rather than possibly stale.
-func (s *ShardedManager) migrationsQuiescedAt(before uint64) bool {
+func (s *Manager) migrationsQuiescedAt(before uint64) bool {
 	return before%2 == 0 && s.migSeq.Load() == before
 }
 
 // checkComposite checks every part of one composite, retrying when a
 // migration replaced the directory entry mid-walk (the stale entry routes
 // a part to its vacated shard, which answers promise-not-found).
-func (s *ShardedManager) checkComposite(client, id string) error {
+func (s *Manager) checkComposite(client, id string) error {
 	for attempt := 0; ; attempt++ {
 		if attempt > migrationRetryLimit {
 			unlock := s.lockShards(s.allShards())
@@ -1655,9 +1708,9 @@ func (s *ShardedManager) checkComposite(client, id string) error {
 // means the caller holds every shard lock (the freeze pass), making the
 // answer definitive. stale reports a part vanished from its recorded
 // shard — the signature of racing a migration.
-func (s *ShardedManager) checkParts(client string, c *composite, locked bool) (error, bool) {
+func (s *Manager) checkParts(client string, c *composite, locked bool) (error, bool) {
 	for _, part := range c.parts {
-		if err := s.shards[part.shard].m.usable(client, part.id); err != nil {
+		if err := s.shards[part.shard].usable(client, part.id); err != nil {
 			if errors.Is(err, ErrPromiseNotFound) && !locked {
 				return nil, true
 			}
@@ -1667,23 +1720,9 @@ func (s *ShardedManager) checkParts(client string, c *composite, locked bool) (e
 	return nil, false
 }
 
-// Sweep expires lapsed promises on every shard — a compatibility shim now
-// that each shard's expiry heap lapses promises at their deadlines (each
-// shard's sweep takes its own lock through the expiry gate). Directory
-// entries for expired composites stay behind, like rows in the done tables,
-// so clients reusing the id still get the precise promise-expired error.
-func (s *ShardedManager) Sweep() error {
-	for _, sh := range s.shards {
-		if err := sh.m.Sweep(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // snapshotDir copies the composite directory for a stable walk (entries
 // themselves are immutable).
-func (s *ShardedManager) snapshotDir() map[string]*composite {
+func (s *Manager) snapshotDir() map[string]*composite {
 	snapshot := make(map[string]*composite)
 	s.dir.Range(func(k, v any) bool {
 		snapshot[k.(string)] = v.(*composite)
@@ -1698,26 +1737,23 @@ func (s *ShardedManager) snapshotDir() map[string]*composite {
 // predicate order; a composite reports the worst lifecycle state among its
 // parts. Both paths re-verify routing against racing slot migrations,
 // exactly like CheckBatch, falling back to the full lock set only when a
-// migration keeps outrunning the directory.
-func (s *ShardedManager) PromiseInfo(id string) (Promise, error) {
+// migration keeps outrunning the directory. Like CheckBatch and Execute it
+// looks an id without a shard prefix up on shard 0, which is where a data
+// directory written by a single-store engine keeps its "prm-<n>" ids.
+func (s *Manager) PromiseInfo(id string) (Promise, error) {
 	if !isCompositeID(id) {
 		for attempt := 0; ; attempt++ {
 			mseq := s.migSeq.Load()
-			sh, ok := s.ownerShard(id)
-			if !ok {
-				return Promise{}, fmt.Errorf("%w: %s", ErrPromiseNotFound, id)
-			}
+			sh, _ := s.ownerShard(id)
 			if attempt > migrationRetryLimit {
 				// Freeze migrations and resolve definitively.
 				unlock := s.lockShards(s.allShards())
-				if o, ok := s.ownerShard(id); ok {
-					sh = o
-				}
-				p, err := s.shards[sh].m.PromiseInfo(id)
+				sh, _ = s.ownerShard(id)
+				p, err := s.shards[sh].PromiseInfo(id)
 				unlock()
 				return p, err
 			}
-			p, err := s.shards[sh].m.PromiseInfo(id)
+			p, err := s.shards[sh].PromiseInfo(id)
 			if errors.Is(err, ErrPromiseNotFound) && !s.migrationsQuiescedAt(mseq) {
 				continue // possibly racing a migration; re-route and retry
 			}
@@ -1736,7 +1772,7 @@ func (s *ShardedManager) PromiseInfo(id string) (Promise, error) {
 // the walk raced a migration (a part vanished from its recorded shard) and
 // must retry against the fresh directory entry; freeze resolves a
 // persistent race by holding every shard lock for the walk.
-func (s *ShardedManager) compositeInfo(id string, freeze bool) (_ Promise, stale bool, _ error) {
+func (s *Manager) compositeInfo(id string, freeze bool) (_ Promise, stale bool, _ error) {
 	if freeze {
 		unlock := s.lockShards(s.allShards())
 		defer unlock()
@@ -1764,7 +1800,7 @@ func (s *ShardedManager) compositeInfo(id string, freeze bool) (_ Promise, stale
 		State:        Active,
 	}
 	for _, part := range c.parts {
-		p, err := s.shards[part.shard].m.PromiseInfo(part.id)
+		p, err := s.shards[part.shard].PromiseInfo(part.id)
 		if err != nil {
 			if errors.Is(err, ErrPromiseNotFound) && !freeze {
 				return Promise{}, true, nil
@@ -1794,10 +1830,10 @@ func (s *ShardedManager) compositeInfo(id string, freeze bool) (_ Promise, stale
 // every shard, each shard read from its immutable store snapshot with no
 // lock acquisition. Parts of composite promises appear individually, under
 // their per-shard ids.
-func (s *ShardedManager) ActivePromises() ([]Promise, error) {
+func (s *Manager) ActivePromises() ([]Promise, error) {
 	var out []Promise
 	for _, sh := range s.shards {
-		ps, err := sh.m.ActivePromises()
+		ps, err := sh.ActivePromises()
 		if err != nil {
 			return nil, err
 		}
@@ -1829,7 +1865,7 @@ func (s *ShardedManager) ActivePromises() ([]Promise, error) {
 // in between), and each ShardStat.Epoch records exactly which committed
 // state its shard had reached, making any residual skew observable
 // instead of silent.
-func (s *ShardedManager) Stats() Stats {
+func (s *Manager) Stats() Stats {
 	type capture struct {
 		epoch    uint64
 		samples  []time.Duration
@@ -1848,9 +1884,9 @@ func (s *ShardedManager) Stats() Stats {
 	// Phase 1 — capture: nothing but copies, so the cross-shard skew
 	// window is as small as the loop itself.
 	for i, sh := range s.shards {
-		mm := &sh.m.metrics
+		mm := &sh.metrics
 		caps[i] = capture{
-			epoch:    sh.m.store.Snapshot().Epoch(),
+			epoch:    sh.store.Snapshot().Epoch(),
 			samples:  mm.latency.Samples(),
 			count:    mm.latency.Count(),
 			requests: mm.requests.Value(),
@@ -1909,7 +1945,7 @@ func (s *ShardedManager) Stats() Stats {
 
 // Imbalance returns the shard-imbalance gauge as of the last Stats call
 // (see Stats.Imbalance), without re-walking the shards.
-func (s *ShardedManager) Imbalance() float64 { return s.imbalance.Value() }
+func (s *Manager) Imbalance() float64 { return s.imbalance.Value() }
 
 // Audit runs every shard's consistency audit and checks the composite
 // directory: each part of each live composite must resolve to a promise
@@ -1917,11 +1953,11 @@ func (s *ShardedManager) Imbalance() float64 { return s.imbalance.Value() }
 // Like every other read path it works from the shards' immutable store
 // snapshots and acquires no lock, so a continuous background audit costs
 // the grant path nothing; each per-shard report is judged against one
-// transactionally consistent state (see Manager.Audit for the model).
-func (s *ShardedManager) Audit() (*AuditReport, error) {
+// transactionally consistent state (see shard.Audit for the model).
+func (s *Manager) Audit() (*AuditReport, error) {
 	report := &AuditReport{}
 	for i, sh := range s.shards {
-		rep, err := sh.m.Audit()
+		rep, err := sh.Audit()
 		if err != nil {
 			return nil, err
 		}
@@ -1950,7 +1986,7 @@ func (s *ShardedManager) Audit() (*AuditReport, error) {
 	for _, id := range sortedStringKeys(moved) {
 		shIdx := moved[id]
 		mseq := s.migSeq.Load()
-		if _, err := s.shards[shIdx].m.PromiseInfo(id); err != nil {
+		if _, err := s.shards[shIdx].PromiseInfo(id); err != nil {
 			if cur, ok := s.moved.Load(id); ok && cur.(int) != shIdx {
 				continue // moved again mid-audit; the fresh entry is checked next run
 			}
@@ -1969,11 +2005,11 @@ func (s *ShardedManager) Audit() (*AuditReport, error) {
 // client. A part that vanishes while a migration's confirm→directory
 // window is open is skipped, not reported — the next audit sees the
 // settled state.
-func (s *ShardedManager) auditComposite(id string, c *composite) []string {
+func (s *Manager) auditComposite(id string, c *composite) []string {
 	var problems []string
 	for _, part := range c.parts {
 		mseq := s.migSeq.Load()
-		p, err := s.shards[part.shard].m.PromiseInfo(part.id)
+		p, err := s.shards[part.shard].PromiseInfo(part.id)
 		if err != nil {
 			if errors.Is(err, ErrPromiseNotFound) && !s.migrationsQuiescedAt(mseq) {
 				continue
@@ -2002,42 +2038,42 @@ func sortedStringKeys[V any](m map[string]V) []string {
 
 // CreatePool registers a pool on its owning shard, in a transaction of its
 // own.
-func (s *ShardedManager) CreatePool(id string, onHand int64, props map[string]predicate.Value) error {
+func (s *Manager) CreatePool(id string, onHand int64, props map[string]predicate.Value) error {
 	sh := s.shards[s.ShardOf(id)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	tx := sh.m.Store().Begin(txn.Block)
-	if err := sh.m.Resources().CreatePool(tx, id, onHand, props); err != nil {
+	tx := sh.store.Begin(txn.Block)
+	if err := sh.rm.CreatePool(tx, id, onHand, props); err != nil {
 		_ = tx.Abort()
 		return err
 	}
 	if err := tx.Commit(); err != nil {
 		return err
 	}
-	return sh.m.durSync()
+	return sh.durSync()
 }
 
 // CreateInstance registers a named instance on its owning shard, in a
 // transaction of its own.
-func (s *ShardedManager) CreateInstance(id string, props map[string]predicate.Value) error {
+func (s *Manager) CreateInstance(id string, props map[string]predicate.Value) error {
 	sh := s.shards[s.ShardOf(id)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	tx := sh.m.Store().Begin(txn.Block)
-	if err := sh.m.Resources().CreateInstance(tx, id, props); err != nil {
+	tx := sh.store.Begin(txn.Block)
+	if err := sh.rm.CreateInstance(tx, id, props); err != nil {
 		_ = tx.Abort()
 		return err
 	}
 	if err := tx.Commit(); err != nil {
 		return err
 	}
-	return sh.m.durSync()
+	return sh.durSync()
 }
 
 // LoadSeed reads a resource seed file and creates its pools and instances
-// on their owning shards. Unlike the single-store loader this is not
-// atomic: a malformed entry leaves earlier entries created.
-func (s *ShardedManager) LoadSeed(r io.Reader) (pools, instances int, err error) {
+// on their owning shards. It is not atomic: a malformed entry leaves
+// earlier entries created.
+func (s *Manager) LoadSeed(r io.Reader) (pools, instances int, err error) {
 	ps, ins, err := resource.ParseSeed(r)
 	if err != nil {
 		return 0, 0, err
@@ -2059,10 +2095,10 @@ func (s *ShardedManager) LoadSeed(r io.Reader) (pools, instances int, err error)
 
 // Pools lists every pool across all shards, in id order, read from the
 // shards' immutable store snapshots with no lock acquisition.
-func (s *ShardedManager) Pools() ([]*resource.Pool, error) {
+func (s *Manager) Pools() ([]*resource.Pool, error) {
 	var out []*resource.Pool
 	for _, sh := range s.shards {
-		ps, err := sh.m.Resources().Pools(sh.m.Store().Snapshot())
+		ps, err := sh.rm.Pools(sh.store.Snapshot())
 		if err != nil {
 			return nil, err
 		}
@@ -2075,10 +2111,10 @@ func (s *ShardedManager) Pools() ([]*resource.Pool, error) {
 // Instances lists every named instance across all shards, in id order,
 // read from the shards' immutable store snapshots with no lock
 // acquisition.
-func (s *ShardedManager) Instances() ([]*resource.Instance, error) {
+func (s *Manager) Instances() ([]*resource.Instance, error) {
 	var out []*resource.Instance
 	for _, sh := range s.shards {
-		ins, err := sh.m.Resources().Instances(sh.m.Store().Snapshot())
+		ins, err := sh.rm.Instances(sh.store.Snapshot())
 		if err != nil {
 			return nil, err
 		}
@@ -2090,8 +2126,13 @@ func (s *ShardedManager) Instances() ([]*resource.Instance, error) {
 
 // PoolLevel returns the quantity on hand of one pool, for tools and tests,
 // read lock-free from the owning shard's snapshot.
-func (s *ShardedManager) PoolLevel(pool string) (int64, error) {
-	return s.shards[s.ShardOf(pool)].m.PoolLevel(pool)
+func (s *Manager) PoolLevel(pool string) (int64, error) {
+	sh := s.shards[s.ShardOf(pool)]
+	p, err := sh.rm.Pool(sh.store.Snapshot(), pool)
+	if err != nil {
+		return 0, err
+	}
+	return p.OnHand, nil
 }
 
 // sortedKeys returns the keys of m in ascending order — every multi-shard

@@ -13,13 +13,15 @@ import (
 )
 
 // This file is the equivalence suite for the two-phase reserve/confirm
-// pipeline: a randomized scenario generator drives a single-store Manager
-// and a ShardedManager through the same workload — property predicates,
-// cross-shard §4 upgrades, batches, expiry — and asserts that every
-// request is accepted or rejected identically, that every promise pair
-// reports the same lifecycle sentinel, and that pool levels never drift.
-// This is the executable form of the sharded.go header's claim that the
-// ShardedManager accepts exactly the requests the single store accepts.
+// pipeline: a randomized scenario generator drives a one-shard Manager —
+// the reference, where every request runs as one transaction on its only
+// shard — and a multi-shard Manager through the same workload — property
+// predicates, cross-shard §4 upgrades, batches, expiry — and asserts that
+// every request is accepted or rejected identically, that every promise
+// pair reports the same lifecycle sentinel, and that pool levels never
+// drift. This is the executable form of the engine.go header's claim that
+// the Manager accepts exactly the requests its one-shard configuration
+// accepts.
 
 // eqWorld drives the same workload through both managers.
 type eqWorld struct {
@@ -27,7 +29,7 @@ type eqWorld struct {
 	rng     *rand.Rand
 	fake    *clock.Fake
 	single  *Manager
-	sharded *ShardedManager
+	sharded *Manager
 	pools   []string
 	insts   []string
 	exprs   []string
@@ -75,12 +77,11 @@ func sentinelClass(err error) string {
 // fast path (still live on the sharded side) against the slow one.
 func newEqWorld(t *testing.T, seed int64, shards int, singleSlow bool) *eqWorld {
 	fake := clock.NewFake(time.Date(2007, 1, 7, 0, 0, 0, 0, time.UTC))
-	single, err := New(Config{Clock: fake, DefaultDuration: time.Hour})
+	single, err := New(Config{Shards: 1, Clock: fake, DefaultDuration: time.Hour, disableFastPath: singleSlow})
 	if err != nil {
 		t.Fatal(err)
 	}
-	single.cfg.disableFastPath = singleSlow
-	sharded, err := NewSharded(ShardedConfig{Shards: shards, Config: Config{Clock: fake, DefaultDuration: time.Hour}})
+	sharded, err := New(Config{Shards: shards, Clock: fake, DefaultDuration: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +109,8 @@ func newEqWorld(t *testing.T, seed int64, shards int, singleSlow bool) *eqWorld 
 	for i := 0; i < 5; i++ {
 		pool := fmt.Sprintf("eq-pool-%d", i)
 		cap := int64(8 + w.rng.Intn(12))
-		tx := single.Store().Begin(txn.Block)
-		if err := single.Resources().CreatePool(tx, pool, cap, nil); err != nil {
+		tx := single.only().store.Begin(txn.Block)
+		if err := single.only().rm.CreatePool(tx, pool, cap, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
@@ -127,8 +128,8 @@ func newEqWorld(t *testing.T, seed int64, shards int, singleSlow bool) *eqWorld 
 			"tier": predicate.Int(int64(w.rng.Intn(3))),
 			"zone": predicate.Int(int64(w.rng.Intn(4))),
 		}
-		tx := single.Store().Begin(txn.Block)
-		if err := single.Resources().CreateInstance(tx, inst, props); err != nil {
+		tx := single.only().store.Begin(txn.Block)
+		if err := single.only().rm.CreateInstance(tx, inst, props); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
@@ -288,16 +289,10 @@ func (w *eqWorld) batch() {
 	}
 }
 
-// advance moves the shared clock and sweeps both managers, expiring the
-// same promises on each.
+// advance moves the shared clock; its alarms expire the same promises on
+// both managers before Advance returns.
 func (w *eqWorld) advance() {
 	w.fake.Advance(time.Duration(30+w.rng.Intn(90)) * time.Second)
-	if err := w.single.Sweep(); err != nil {
-		w.t.Fatal(err)
-	}
-	if err := w.sharded.Sweep(); err != nil {
-		w.t.Fatal(err)
-	}
 }
 
 // verify cross-checks every tracked pair's lifecycle sentinel and every
@@ -325,8 +320,8 @@ func (w *eqWorld) verify() {
 		}
 	}
 	for _, pool := range w.pools {
-		tx := w.single.Store().Begin(txn.Block)
-		p, err := w.single.Resources().Pool(tx, pool)
+		tx := w.single.only().store.Begin(txn.Block)
+		p, err := w.single.only().rm.Pool(tx, pool)
 		_ = tx.Commit()
 		if err != nil {
 			t.Fatal(err)
@@ -382,9 +377,9 @@ func (w *eqWorld) run(iters int) {
 }
 
 // TestShardedEquivalence is the acceptance gate for the reserve/confirm
-// pipeline: ShardedManager(N) must accept and reject exactly like the
-// single-store Manager on randomized property-predicate and
-// cross-shard-upgrade workloads, across several seeds.
+// pipeline: Manager(N) must accept and reject exactly like the one-shard
+// Manager on randomized property-predicate and cross-shard-upgrade
+// workloads, across several seeds.
 func TestShardedEquivalence(t *testing.T) {
 	shards := testShards(8)
 	for seed := int64(1); seed <= 6; seed++ {

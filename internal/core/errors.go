@@ -1,4 +1,4 @@
-// Package core implements the Promise Manager, the paper's primary
+// Package core implements the Promise shard, the paper's primary
 // contribution (§2): "A promise manager sits between clients and application
 // services and implements Promise functionality on behalf of a number of
 // services and resource managers. The job of a promise manager is to work

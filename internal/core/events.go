@@ -14,10 +14,9 @@ import (
 // for with CheckBatch — the §6 notification direction ("managers notifying
 // clients about promise lifecycle transitions") as an API.
 //
-// Every engine shape exposes the same Watch surface: the single-store
-// Manager publishes into its own bus; the ShardedManager injects one shared
-// bus into every shard, so per-shard streams merge into a single totally
-// ordered sequence and events survive a cross-shard slot migration under
+// Every engine shape exposes the same Watch surface: the Manager injects
+// one shared bus into every shard, so per-shard streams merge into a
+// single totally ordered sequence and events survive a cross-shard slot migration under
 // their promise id. The transport serves the bus as SSE (GET /events) and
 // transport.Client re-exposes Watch over it.
 //

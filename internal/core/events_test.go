@@ -51,7 +51,7 @@ func TestWatchLifecycleOrdering(t *testing.T) {
 	// across the whole stream.
 	m, _ := newManager(t, Config{DefaultDuration: time.Hour})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 100, nil)
+		return m.only().rm.CreatePool(tx, "p", 100, nil)
 	})
 	ctx, cancel := context.WithCancel(bg)
 	defer cancel()
@@ -111,7 +111,7 @@ func TestWatchRenewedOnModify(t *testing.T) {
 	// emits Released for the old id and Renewed (naming it) for the new.
 	m, _ := newManager(t, Config{DefaultDuration: time.Hour})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	old := grantOne(t, m, requestQuantity("c", "p", 5))
 
@@ -148,7 +148,7 @@ func TestExpiryFiresAtDeadlineNotNextRequest(t *testing.T) {
 	// freed — all before any further request touches the engine.
 	m, fake := newManager(t, Config{DefaultDuration: time.Minute, ExpiryWarning: 10 * time.Second})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	ctx, cancel := context.WithCancel(bg)
 	defer cancel()
@@ -184,7 +184,7 @@ func TestExpiryFiresAtDeadlineNotNextRequest(t *testing.T) {
 }
 
 func TestShardedExpiryFiresAtDeadline(t *testing.T) {
-	s, fake := newShardedT(t, ShardedConfig{Config: Config{DefaultDuration: time.Minute}})
+	s, fake := newShardedT(t, Config{DefaultDuration: time.Minute})
 	pool := nameOnShard(t, s, 1, "evx-pool")
 	mustPool(t, s, pool, 5)
 	ctx, cancel := context.WithCancel(bg)
@@ -213,7 +213,7 @@ func TestWatchExactlyOnceAcrossMigration(t *testing.T) {
 	// continuous event stream under its id: exactly one grant, exactly one
 	// migration, exactly one terminal event — nothing doubled or lost by
 	// the move.
-	s, fake := newShardedT(t, ShardedConfig{Shards: 4, Config: Config{DefaultDuration: time.Minute}})
+	s, fake := newShardedT(t, Config{Shards: 4, DefaultDuration: time.Minute})
 	x := nameOnShard(t, s, 0, "evm-x")
 	y := nameOnShard(t, s, 2, "evm-y")
 	for _, id := range []string{x, y} {
@@ -267,7 +267,7 @@ func TestWatchSlowSubscriberDrop(t *testing.T) {
 	// connected and sees the loss as a Seq gap.
 	m, _ := newManager(t, Config{DefaultDuration: time.Hour})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 100, nil)
+		return m.only().rm.CreatePool(tx, "p", 100, nil)
 	})
 	ctx, cancel := context.WithCancel(bg)
 	defer cancel()
@@ -296,7 +296,7 @@ func TestWatchSlowSubscriberDrop(t *testing.T) {
 func TestWatchSlowSubscriberDisconnect(t *testing.T) {
 	m, _ := newManager(t, Config{DefaultDuration: time.Hour})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 100, nil)
+		return m.only().rm.CreatePool(tx, "p", 100, nil)
 	})
 	ctx, cancel := context.WithCancel(bg)
 	defer cancel()
@@ -315,7 +315,7 @@ func TestWatchSlowSubscriberDisconnect(t *testing.T) {
 func TestWatchFiltersAndReplay(t *testing.T) {
 	m, _ := newManager(t, Config{DefaultDuration: time.Hour})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 100, nil)
+		return m.only().rm.CreatePool(tx, "p", 100, nil)
 	})
 	ctx, cancel := context.WithCancel(bg)
 	defer cancel()
@@ -366,7 +366,7 @@ func TestWatchFiltersAndReplay(t *testing.T) {
 func TestWatchViolatedEvent(t *testing.T) {
 	m, _ := newManager(t, Config{DefaultDuration: time.Hour})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreateInstance(tx, "i", nil)
+		return m.only().rm.CreateInstance(tx, "i", nil)
 	})
 	pr := grantOne(t, m, Request{Client: "holder", PromiseRequests: []PromiseRequest{{
 		Predicates: []Predicate{Named("i")},
@@ -430,7 +430,7 @@ func TestContextDeadlineCapsDuration(t *testing.T) {
 	t.Run("single", func(t *testing.T) {
 		m, fake := newManager(t, Config{MaxDuration: 10 * time.Minute})
 		seed(t, m, func(tx *txn.Tx) error {
-			return m.Resources().CreatePool(tx, "p", 100, nil)
+			return m.only().rm.CreatePool(tx, "p", 100, nil)
 		})
 		run(t, func(pr PromiseRequest, ctx context.Context) PromiseResponse {
 			resp, err := m.Execute(ctx, Request{Client: "c", PromiseRequests: []PromiseRequest{pr}})
@@ -449,7 +449,7 @@ func TestContextDeadlineCapsDuration(t *testing.T) {
 		})
 	})
 	t.Run("sharded", func(t *testing.T) {
-		s, _ := newShardedT(t, ShardedConfig{Config: Config{MaxDuration: 10 * time.Minute}})
+		s, _ := newShardedT(t, Config{MaxDuration: 10 * time.Minute})
 		pool := nameOnShard(t, s, 1, "ctxcap")
 		mustPool(t, s, pool, 100)
 		run(t, func(pr PromiseRequest, ctx context.Context) PromiseResponse {
@@ -470,7 +470,7 @@ func TestContextDeadlineCapsDuration(t *testing.T) {
 		// are granted pinned by the global matcher: the floor must reject
 		// before any shard reserves, and an accepted pinned grant must
 		// respect the ctx-deadline cap exactly like a single-store grant.
-		s, fake := newShardedT(t, ShardedConfig{Config: Config{MaxDuration: 10 * time.Minute}})
+		s, fake := newShardedT(t, Config{MaxDuration: 10 * time.Minute})
 		if err := s.CreateInstance("ctxcap-inst", map[string]predicate.Value{"p": predicate.Bool(true)}); err != nil {
 			t.Fatal(err)
 		}

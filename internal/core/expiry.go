@@ -27,8 +27,8 @@ import (
 // Entries are an index, not truth: a released or migrated-away promise
 // leaves a stale entry behind, and the pop simply skips ids that are no
 // longer active here. Clocks that do not implement clock.Alarmer get no
-// alarms; expiry then happens on the request path and in explicit Sweep
-// calls, exactly as before, still in O(expired).
+// alarms; expiry then happens on the request path only, still in
+// O(expired).
 
 // expiryEntry is one scheduled wake-up for a promise: its deadline, or the
 // earlier warning instant. seq identifies the entry so processed entries
@@ -49,14 +49,14 @@ func (h expiryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *expiryHeap) Push(x any)        { *h = append(*h, x.(expiryEntry)) }
 func (h *expiryHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// expiryIndex owns one manager's deadline heap and the single clock alarm
+// expiryIndex owns one shard's deadline heap and the single clock alarm
 // armed for its top.
 type expiryIndex struct {
 	mu      sync.Mutex
 	h       expiryHeap
 	nextSeq uint64
 	alarmer clock.Alarmer // nil when the clock cannot alarm
-	fire    func()        // Manager.expireDue
+	fire    func()        // the alarm callback New installs around shard.expireDue
 	stop    func()
 	alarmAt time.Time
 }
@@ -99,9 +99,8 @@ func (x *expiryIndex) armLocked(floor time.Time, force bool) {
 
 // alarmConsumed retires the armed alarm before a deadline pass, so the
 // pass's final schedule re-arms fresh. Stopping is a no-op when the alarm
-// itself triggered the pass, but essential when Sweep() did — discarding a
-// still-armed timer's stop handle would leave an orphan alarm chain firing
-// forever alongside the re-armed one.
+// itself triggered the pass; it keeps the single-armed-alarm invariant
+// whatever started the pass.
 func (x *expiryIndex) alarmConsumed() {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -179,7 +178,7 @@ func (x *expiryIndex) shutdown() {
 
 // trackExpiry indexes one granted (or migrated-in) promise for deadline
 // processing.
-func (m *Manager) trackExpiry(id string, expires time.Time) {
+func (m *shard) trackExpiry(id string, expires time.Time) {
 	entries := []expiryEntry{{at: expires, id: id}}
 	if w := m.cfg.ExpiryWarning; w > 0 {
 		entries = append(entries, expiryEntry{at: expires.Add(-w), id: id, warn: true})
@@ -187,17 +186,14 @@ func (m *Manager) trackExpiry(id string, expires time.Time) {
 	m.exp.track(entries...)
 }
 
-// expireDue is the alarm callback: under the expiry gate (the shard lock,
-// for sharded deployments) it lapses every promise whose deadline passed,
-// publishes warning events for promises entering their expiry window, and
-// re-arms the alarm. Also the body of the Sweep shim.
-func (m *Manager) expireDue() error {
-	var err error
-	m.gate(func() { err = m.expireDueGated() })
-	return err
-}
-
-func (m *Manager) expireDueGated() error {
+// expireDue is the alarm callback's body: under the shard lock — expiry
+// mutates the store, so the reserve/confirm pipeline's sole-user invariant
+// must hold — it lapses every promise whose deadline passed, publishes
+// warning events for promises entering their expiry window, and re-arms
+// the alarm.
+func (m *shard) expireDue() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.exp.alarmConsumed()
 	now := m.clk.Now()
 	due := m.exp.dueEntries(now)
@@ -260,7 +256,7 @@ func (m *Manager) expireDueGated() error {
 
 // expireBatch lapses the given due promises in one transaction and
 // publishes their Expired events under the commit-order lock.
-func (m *Manager) expireBatch(now time.Time, exps []expiryEntry) (*execState, error) {
+func (m *shard) expireBatch(now time.Time, exps []expiryEntry) (*execState, error) {
 	st := &execState{}
 	tx := m.store.Begin(txn.Block)
 	for _, e := range exps {

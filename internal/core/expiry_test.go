@@ -15,7 +15,7 @@ func TestExpiredPromiseUseReturnsPromiseExpired(t *testing.T) {
 	// promises."
 	m, fake := newManager(t, Config{DefaultDuration: time.Minute})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("c", "p", 5))
 	fake.Advance(2 * time.Minute)
@@ -39,7 +39,7 @@ func TestExpiredPromiseUseReturnsPromiseExpired(t *testing.T) {
 func TestExpiryFreesAnonymousCapacity(t *testing.T) {
 	m, fake := newManager(t, Config{DefaultDuration: time.Minute})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	_ = grantOne(t, m, requestQuantity("a", "p", 10))
 	if pr := grantOne(t, m, requestQuantity("b", "p", 1)); pr.Accepted {
@@ -55,22 +55,19 @@ func TestExpiryFreesAnonymousCapacity(t *testing.T) {
 func TestExpiryFreesInstances(t *testing.T) {
 	m, fake := newManager(t, Config{DefaultDuration: time.Minute})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreateInstance(tx, "i", nil)
+		return m.only().rm.CreateInstance(tx, "i", nil)
 	})
 	pr := grantOne(t, m, Request{Client: "a", PromiseRequests: []PromiseRequest{{
 		Predicates: []Predicate{Named("i")},
 	}}})
 	fake.Advance(2 * time.Minute)
-	if err := m.Sweep(); err != nil {
-		t.Fatal(err)
-	}
 	info, _ := m.PromiseInfo(pr.PromiseID)
 	if info.State != Expired {
 		t.Fatalf("state = %v, want expired", info.State)
 	}
-	tx := m.Store().Begin(txn.Block)
+	tx := m.only().store.Begin(txn.Block)
 	defer tx.Commit()
-	in, _ := m.Resources().Instance(tx, "i")
+	in, _ := m.only().rm.Instance(tx, "i")
 	if in.Status != resource.Available {
 		t.Fatalf("instance status after expiry = %v", in.Status)
 	}
@@ -79,7 +76,7 @@ func TestExpiryFreesInstances(t *testing.T) {
 func TestMixedExpiryOnlyLapsedFreed(t *testing.T) {
 	m, fake := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	short := grantOne(t, m, Request{Client: "a", PromiseRequests: []PromiseRequest{{
 		Predicates: []Predicate{Quantity("p", 5)},
@@ -90,9 +87,6 @@ func TestMixedExpiryOnlyLapsedFreed(t *testing.T) {
 		Duration:   time.Hour,
 	}}})
 	fake.Advance(5 * time.Minute)
-	if err := m.Sweep(); err != nil {
-		t.Fatal(err)
-	}
 	si, _ := m.PromiseInfo(short.PromiseID)
 	li, _ := m.PromiseInfo(long.PromiseID)
 	if si.State != Expired {
@@ -114,7 +108,7 @@ func TestExpiredPromiseNotCountedInChecks(t *testing.T) {
 	// An action that would violate an expired promise must succeed.
 	m, fake := newManager(t, Config{DefaultDuration: time.Minute})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	_ = grantOne(t, m, requestQuantity("a", "p", 8))
 	fake.Advance(2 * time.Minute)
@@ -136,7 +130,7 @@ func TestExpiredPromiseNotCountedInChecks(t *testing.T) {
 func TestModifyExpiredPromiseRejected(t *testing.T) {
 	m, fake := newManager(t, Config{DefaultDuration: time.Minute})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("c", "p", 5))
 	fake.Advance(2 * time.Minute)
@@ -150,19 +144,20 @@ func TestModifyExpiredPromiseRejected(t *testing.T) {
 }
 
 func TestSweepIdempotent(t *testing.T) {
+	// Repeated deadline passes lapse a promise exactly once.
 	m, fake := newManager(t, Config{DefaultDuration: time.Minute})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	_ = grantOne(t, m, requestQuantity("c", "p", 5))
-	fake.Advance(2 * time.Minute)
 	for i := 0; i < 3; i++ {
-		if err := m.Sweep(); err != nil {
-			t.Fatalf("sweep %d: %v", i, err)
-		}
+		fake.Advance(2 * time.Minute)
 	}
 	list, _ := m.ActivePromises()
 	if len(list) != 0 {
-		t.Fatalf("active promises after sweep = %d", len(list))
+		t.Fatalf("active promises after expiry = %d", len(list))
+	}
+	if got := m.Stats().Expirations; got != 1 {
+		t.Fatalf("expirations = %d, want 1", got)
 	}
 }

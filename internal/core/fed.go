@@ -182,8 +182,8 @@ type fedSession struct {
 	stopTTL   func()
 }
 
-// fedState lazily holds the session table on a ShardedManager.
-func (s *ShardedManager) fedInit() {
+// fedState lazily holds the session table on a Manager.
+func (s *Manager) fedInit() {
 	s.fedMu.Lock()
 	if s.fedSessions == nil {
 		s.fedSessions = make(map[string]*fedSession)
@@ -199,7 +199,7 @@ func (s *ShardedManager) fedInit() {
 // caller owns the session until FedConfirm/FedAbort; the TTL is the
 // backstop. Reserving nodes in ascending node-id order is the caller's
 // side of deadlock avoidance — the node-level analogue of lockShards.
-func (s *ShardedManager) FedReserve(ctx context.Context, client string, spec FedReserveSpec) (*FedReserveResult, error) {
+func (s *Manager) FedReserve(ctx context.Context, client string, spec FedReserveSpec) (*FedReserveResult, error) {
 	if client == "" {
 		return nil, fmt.Errorf("%w: missing client", ErrBadRequest)
 	}
@@ -241,10 +241,10 @@ func (s *ShardedManager) FedReserve(ctx context.Context, client string, spec Fed
 		relByShard[sh] = append(relByShard[sh], rid)
 	}
 
-	durCapped, durReason := s.shards[0].m.grantDuration(ctx, spec.Duration, spec.MinDuration)
+	durCapped, durReason := s.shards[0].grantDuration(ctx, spec.Duration, spec.MinDuration)
 	if durReason != "" {
-		s.shards[0].m.metrics.requests.Inc()
-		s.shards[0].m.metrics.rejections.Inc()
+		s.shards[0].metrics.requests.Inc()
+		s.shards[0].metrics.rejections.Inc()
 		return reject("%s", durReason), nil
 	}
 
@@ -271,7 +271,7 @@ func (s *ShardedManager) FedReserve(ctx context.Context, client string, spec Fed
 			fixed[s.ShardOf(p.Pool)] = append(fixed[s.ShardOf(p.Pool)], i)
 		case NamedView:
 			if s.mode == MatchingMode {
-				held, err := s.shards[s.ShardOf(p.Instance)].m.propertySlotHolder(p.Instance)
+				held, err := s.shards[s.ShardOf(p.Instance)].propertySlotHolder(p.Instance)
 				if err != nil {
 					return nil, err
 				}
@@ -328,7 +328,7 @@ func (s *ShardedManager) FedReserve(ctx context.Context, client string, spec Fed
 			preds[j] = spec.Predicates[idx]
 			orig[j] = spec.PredIdx[idx]
 		}
-		resv, rejResp, err := s.shards[sh].m.Reserve(ctx, client, ReserveRequest{
+		resv, rejResp, err := s.shards[sh].Reserve(ctx, client, ReserveRequest{
 			Releases:    relByShard[sh],
 			Predicates:  preds,
 			PredIdx:     orig,
@@ -382,7 +382,7 @@ func (s *ShardedManager) FedReserve(ctx context.Context, client string, spec Fed
 // fedContext reads the reserved shards' property-match state. Cross-node
 // migratability additionally requires the slot not be a composite member:
 // the node's directory cannot follow a part off the node.
-func (s *ShardedManager) fedContext(resvs map[int]*Reservation) (*FedContext, error) {
+func (s *Manager) fedContext(resvs map[int]*Reservation) (*FedContext, error) {
 	out := &FedContext{}
 	for _, sh := range sortedKeys(resvs) {
 		pc, err := resvs[sh].PropertyContext()
@@ -394,7 +394,7 @@ func (s *ShardedManager) fedContext(resvs map[int]*Reservation) (*FedContext, er
 			if !ok {
 				return nil, fmt.Errorf("core: malformed slot key %q", slot.Key)
 			}
-			p, err := s.shards[sh].m.promise(resvs[sh].tx, pid)
+			p, err := s.shards[sh].promise(resvs[sh].tx, pid)
 			if err != nil {
 				return nil, fmt.Errorf("core: slot %s: %w", slot.Key, err)
 			}
@@ -425,7 +425,7 @@ func (s *ShardedManager) fedContext(resvs map[int]*Reservation) (*FedContext, er
 }
 
 // claimFedSession removes and returns the session, stopping its TTL alarm.
-func (s *ShardedManager) claimFedSession(id string) *fedSession {
+func (s *Manager) claimFedSession(id string) *fedSession {
 	s.fedMu.Lock()
 	sess := s.fedSessions[id]
 	delete(s.fedSessions, id)
@@ -442,7 +442,7 @@ func (s *ShardedManager) claimFedSession(id string) *fedSession {
 // order, directory and expiry bookkeeping after the commits. It returns
 // every part this session granted (reserve-time fixed parts plus the
 // pinned grants), in shard order.
-func (s *ShardedManager) FedConfirm(ctx context.Context, sessionID string, spec FedConfirmSpec) ([]GrantedPart, error) {
+func (s *Manager) FedConfirm(ctx context.Context, sessionID string, spec FedConfirmSpec) ([]GrantedPart, error) {
 	sess := s.claimFedSession(sessionID)
 	if sess == nil {
 		return nil, fmt.Errorf("%w: fed session %s (expired or finished)", ErrPromiseNotFound, sessionID)
@@ -646,7 +646,7 @@ func (s *ShardedManager) FedConfirm(ctx context.Context, sessionID string, spec 
 	var events []Event
 	for i, mg := range internal {
 		row := internalRows[i]
-		s.shards[mg.to].m.trackExpiry(row.ID, row.Expires)
+		s.shards[mg.to].trackExpiry(row.ID, row.Expires)
 		events = append(events, Event{
 			Type: EventMigrated, PromiseID: row.ID, Client: row.Client,
 			Time: now, Expires: row.Expires,
@@ -654,7 +654,7 @@ func (s *ShardedManager) FedConfirm(ctx context.Context, sessionID string, spec 
 		})
 	}
 	for i, mi := range spec.MigrateIn {
-		s.shards[inShards[i]].m.trackExpiry(mi.ID, mi.Expires)
+		s.shards[inShards[i]].trackExpiry(mi.ID, mi.Expires)
 		from := mi.FromNode
 		if from == "" {
 			from = "another node"
@@ -677,7 +677,7 @@ func (s *ShardedManager) FedConfirm(ctx context.Context, sessionID string, spec 
 // FedAbort rolls back an open session, releasing its shard locks.
 // Idempotent: aborting a finished or unknown session is a no-op, so a
 // caller retrying over a flaky link never double-faults.
-func (s *ShardedManager) FedAbort(sessionID string) {
+func (s *Manager) FedAbort(sessionID string) {
 	sess := s.claimFedSession(sessionID)
 	if sess == nil {
 		return
@@ -691,7 +691,7 @@ func (s *ShardedManager) FedAbort(sessionID string) {
 // FedAbortAll aborts every open session — what a crash does to in-memory
 // reservation state (the simulator calls it on injected crashes; a real
 // process loses the sessions with the process).
-func (s *ShardedManager) FedAbortAll() {
+func (s *Manager) FedAbortAll() {
 	s.fedMu.Lock()
 	ids := make([]string, 0, len(s.fedSessions))
 	for id := range s.fedSessions {
@@ -724,10 +724,10 @@ type NodeSummary struct {
 }
 
 // FedSummary snapshots the node's candidate summaries, lock-free.
-func (s *ShardedManager) FedSummary() NodeSummary {
+func (s *Manager) FedSummary() NodeSummary {
 	out := NodeSummary{ByProp: make(map[string]map[predicate.Value]int)}
 	for _, sh := range s.shards {
-		sum := sh.m.cand.summary.Load()
+		sum := sh.cand.summary.Load()
 		out.Hostable += sum.Hostable
 		out.Slots += sum.Slots
 		if sum.Pinned > 0 {

@@ -68,7 +68,7 @@ type floatPred struct {
 // plans plus any cross-shard migrations of existing slots, or ok=false
 // when the predicates are not jointly satisfiable with the outstanding
 // promises.
-func (s *ShardedManager) solveFloatAssignment(resvs map[int]*Reservation, pr PromiseRequest, floating []floatPred, mode PropertyMode) (map[int]*shardFloatPlan, []slotMigration, bool, error) {
+func (s *Manager) solveFloatAssignment(resvs map[int]*Reservation, pr PromiseRequest, floating []floatPred, mode PropertyMode) (map[int]*shardFloatPlan, []slotMigration, bool, error) {
 	type gSlot struct {
 		shard int
 		slot  PropertySlot

@@ -15,8 +15,8 @@ import (
 	"sync/atomic"
 )
 
-// Health is an engine's serving state, as exposed by Manager.Health and
-// ShardedManager.Health and by the daemon's /readyz endpoint.
+// Health is an engine's serving state, as exposed by Manager.Health and by
+// the daemon's /readyz endpoint.
 type Health struct {
 	// Degraded reports read-only mode: persistence is failing, mutating
 	// requests are rejected with ErrDegraded.
@@ -26,8 +26,7 @@ type Health struct {
 }
 
 // engineHealth is the shared degraded-state latch: one per durable engine,
-// pointed to by the durableEngine, every shard Manager and the
-// ShardedManager. All methods are nil-safe so non-durable engines (which
+// pointed to by the durableEngine, every shard and the Manager. All methods are nil-safe so non-durable engines (which
 // never degrade) pay a single branch.
 type engineHealth struct {
 	degraded atomic.Bool
@@ -93,10 +92,7 @@ func (h *engineHealth) snapshot() Health {
 
 // Health reports the engine's serving state. A non-durable Manager is
 // always healthy: it has no persistence to lose.
-func (m *Manager) Health() Health { return m.health.snapshot() }
-
-// Health reports the engine's serving state (see Manager.Health).
-func (s *ShardedManager) Health() Health { return s.health.snapshot() }
+func (s *Manager) Health() Health { return s.health.snapshot() }
 
 // HealthReporter is the optional interface engines expose for the daemon's
 // /readyz endpoint; transport.Server type-asserts it.

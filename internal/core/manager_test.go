@@ -29,7 +29,7 @@ func newManager(t *testing.T, cfg Config) (*Manager, *clock.Fake) {
 // seed runs f in its own committed transaction.
 func seed(t *testing.T, m *Manager, f func(tx *txn.Tx) error) {
 	t.Helper()
-	tx := m.Store().Begin(txn.Block)
+	tx := m.only().store.Begin(txn.Block)
 	if err := f(tx); err != nil {
 		_ = tx.Abort()
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func grantOne(t *testing.T, m *Manager, req Request) PromiseResponse {
 func TestFigure1AcceptPath(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "pink-widgets", 10, nil)
+		return m.only().rm.CreatePool(tx, "pink-widgets", 10, nil)
 	})
 
 	// "Send promise request that (quantity of 'pink widgets' >= 5)".
@@ -120,9 +120,9 @@ func TestFigure1AcceptPath(t *testing.T) {
 		t.Fatalf("promise state = %v, want released", info.State)
 	}
 	// order-2's promise of 5 still holds over the remaining 5 units.
-	tx := m.Store().Begin(txn.Block)
+	tx := m.only().store.Begin(txn.Block)
 	defer tx.Commit()
-	p, err := m.Resources().Pool(tx, "pink-widgets")
+	p, err := m.only().rm.Pool(tx, "pink-widgets")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestFigure1AcceptPath(t *testing.T) {
 func TestFigure1RejectPath(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "pink-widgets", 3, nil)
+		return m.only().rm.CreatePool(tx, "pink-widgets", 3, nil)
 	})
 	// "Reject promise request if <5 units available."
 	pr := grantOne(t, m, requestQuantity("order-process", "pink-widgets", 5))
@@ -196,7 +196,7 @@ func TestMissingPoolRejectsCleanly(t *testing.T) {
 func TestNamedPromiseSingleHolder(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreateInstance(tx, "room-212", nil)
+		return m.only().rm.CreateInstance(tx, "room-212", nil)
 	})
 	req := func(client string) Request {
 		return Request{Client: client, PromiseRequests: []PromiseRequest{{
@@ -224,7 +224,7 @@ func TestNamedPromiseSingleHolder(t *testing.T) {
 func TestNamedDuplicateInOneRequest(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreateInstance(tx, "i", nil)
+		return m.only().rm.CreateInstance(tx, "i", nil)
 	})
 	resp, err := m.Execute(bg, Request{Client: "c", PromiseRequests: []PromiseRequest{{
 		Predicates: []Predicate{Named("i"), Named("i")},
@@ -255,7 +255,7 @@ func TestNamedMissingInstance(t *testing.T) {
 func TestTravelAtomicMultiPredicate(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		rm := m.Resources()
+		rm := m.only().rm
 		if err := rm.CreatePool(tx, "flights-SYD-SFO", 2, nil); err != nil {
 			return err
 		}
@@ -291,7 +291,7 @@ func TestTravelAtomicMultiPredicate(t *testing.T) {
 func TestArtGalleryActionReleaseAtomicity(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreateInstance(tx, "painting-17", nil)
+		return m.only().rm.CreateInstance(tx, "painting-17", nil)
 	})
 	pr := grantOne(t, m, Request{Client: "buyer", PromiseRequests: []PromiseRequest{{
 		Predicates: []Predicate{Named("painting-17")},
@@ -324,8 +324,8 @@ func TestArtGalleryActionReleaseAtomicity(t *testing.T) {
 		t.Fatalf("promise state after failed purchase = %v, want active", info.State)
 	}
 	// The partial change was rolled back.
-	tx := m.Store().Begin(txn.Block)
-	in, err := m.Resources().Instance(tx, "painting-17")
+	tx := m.only().store.Begin(txn.Block)
+	in, err := m.only().rm.Instance(tx, "painting-17")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestArtGalleryActionReleaseAtomicity(t *testing.T) {
 func TestModifyUpgradeDowngrade(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "alice-account", 300, nil)
+		return m.only().rm.CreatePool(tx, "alice-account", 300, nil)
 	})
 	// Initial promise: $100 will be available.
 	pr := grantOne(t, m, requestQuantity("shop", "alice-account", 100))
@@ -397,7 +397,7 @@ func TestModifyFailureRetainsOldPromise(t *testing.T) {
 	// continue to hold" (§6).
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "acct", 150, nil)
+		return m.only().rm.CreatePool(tx, "acct", 150, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("shop", "acct", 100))
 	other := grantOne(t, m, requestQuantity("rival", "acct", 50))
@@ -428,7 +428,7 @@ func TestModifyUpgradeUsesFreedCapacity(t *testing.T) {
 	// reservation is excluded during feasibility.
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "acct", 120, nil)
+		return m.only().rm.CreatePool(tx, "acct", 120, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("shop", "acct", 100))
 	up := grantOne(t, m, Request{Client: "shop", PromiseRequests: []PromiseRequest{{
@@ -443,7 +443,7 @@ func TestModifyUpgradeUsesFreedCapacity(t *testing.T) {
 func TestModifyReleaseTargetErrors(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	// Unknown release target.
 	r := grantOne(t, m, Request{Client: "c", PromiseRequests: []PromiseRequest{{
@@ -469,7 +469,7 @@ func TestModifyReleaseTargetErrors(t *testing.T) {
 func TestActionViolatingPromiseRolledBack(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "stock", 10, nil)
+		return m.only().rm.CreatePool(tx, "stock", 10, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("holder", "stock", 8))
 	if !pr.Accepted {
@@ -491,9 +491,9 @@ func TestActionViolatingPromiseRolledBack(t *testing.T) {
 		t.Fatalf("ActionErr = %v, want ErrPromiseViolated", resp.ActionErr)
 	}
 	// The drain was undone.
-	tx := m.Store().Begin(txn.Block)
+	tx := m.only().store.Begin(txn.Block)
 	defer tx.Commit()
-	p, _ := m.Resources().Pool(tx, "stock")
+	p, _ := m.only().rm.Pool(tx, "stock")
 	if p.OnHand != 10 {
 		t.Fatalf("on hand = %d, want 10 (rolled back)", p.OnHand)
 	}
@@ -502,7 +502,7 @@ func TestActionViolatingPromiseRolledBack(t *testing.T) {
 func TestActionWithinPromiseBoundsSucceeds(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "stock", 10, nil)
+		return m.only().rm.CreatePool(tx, "stock", 10, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("holder", "stock", 8))
 	_ = pr
@@ -527,7 +527,7 @@ func TestDisablePostCheckAblation(t *testing.T) {
 	// promised availability and nobody notices until the promise is used.
 	m, _ := newManager(t, Config{DisablePostCheck: true})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "stock", 10, nil)
+		return m.only().rm.CreatePool(tx, "stock", 10, nil)
 	})
 	_ = grantOne(t, m, requestQuantity("holder", "stock", 8))
 	resp, err := m.Execute(bg, Request{
@@ -543,9 +543,9 @@ func TestDisablePostCheckAblation(t *testing.T) {
 	if resp.ActionErr != nil {
 		t.Fatalf("ablated manager should accept the violating action: %v", resp.ActionErr)
 	}
-	tx := m.Store().Begin(txn.Block)
+	tx := m.only().store.Begin(txn.Block)
 	defer tx.Commit()
-	p, _ := m.Resources().Pool(tx, "stock")
+	p, _ := m.only().rm.Pool(tx, "stock")
 	if p.OnHand != 5 {
 		t.Fatalf("on hand = %d, want 5 (violation committed)", p.OnHand)
 	}
@@ -554,7 +554,7 @@ func TestDisablePostCheckAblation(t *testing.T) {
 func TestActionPanicRecovered(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 5, nil)
+		return m.only().rm.CreatePool(tx, "p", 5, nil)
 	})
 	resp, err := m.Execute(bg, Request{
 		Client: "c",
@@ -569,9 +569,9 @@ func TestActionPanicRecovered(t *testing.T) {
 	if resp.ActionErr == nil {
 		t.Fatal("panicking action should report an error")
 	}
-	tx := m.Store().Begin(txn.Block)
+	tx := m.only().store.Begin(txn.Block)
 	defer tx.Commit()
-	p, _ := m.Resources().Pool(tx, "p")
+	p, _ := m.only().rm.Pool(tx, "p")
 	if p.OnHand != 5 {
 		t.Fatalf("panicking action's writes survived: %d", p.OnHand)
 	}
@@ -582,7 +582,7 @@ func TestActionPanicRecovered(t *testing.T) {
 func TestEnvErrors(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("owner", "p", 5))
 
@@ -628,7 +628,7 @@ func TestPureReleaseMessageWithBadEnv(t *testing.T) {
 func TestDurationClamping(t *testing.T) {
 	m, fake := newManager(t, Config{DefaultDuration: time.Minute, MaxDuration: 5 * time.Minute})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	now := fake.Now()
 	// Default applies.
@@ -660,7 +660,7 @@ func TestDurationClamping(t *testing.T) {
 func TestGrantedHelperAndMultipleRequests(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 5, nil)
+		return m.only().rm.CreatePool(tx, "p", 5, nil)
 	})
 	resp, err := m.Execute(bg, Request{Client: "c", PromiseRequests: []PromiseRequest{
 		{RequestID: "a", Predicates: []Predicate{Quantity("p", 3)}},
@@ -684,7 +684,7 @@ func TestGrantedHelperAndMultipleRequests(t *testing.T) {
 func TestActivePromisesAndInfo(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("c", "p", 4))
 	list, err := m.ActivePromises()
@@ -707,20 +707,19 @@ func TestActivePromisesAndInfo(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	store := txn.NewStore()
-	rm, err := resource.NewManager(store)
+	// Zero shards means one.
+	m, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Resources: rm}); err == nil {
-		t.Fatal("Resources without Store accepted")
+	if m.NumShards() != 1 {
+		t.Fatalf("zero Shards built %d shards, want 1", m.NumShards())
 	}
-	if _, err := New(Config{Store: store, Resources: rm}); err != nil {
-		t.Fatalf("explicit store+rm: %v", err)
-	}
-	// Second New on the same store must fail (tables exist).
-	if _, err := New(Config{Store: store, Resources: rm}); err == nil {
-		t.Fatal("double New on one store accepted")
+	// A namespace that could not round-trip through an id is rejected.
+	for _, ns := range []string{"a!b", "a+b", "a b"} {
+		if _, err := New(Config{IDNamespace: ns}); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("namespace %q: err = %v, want ErrBadRequest", ns, err)
+		}
 	}
 }
 
@@ -784,7 +783,7 @@ func TestPropertyPredicateEvalErrorIsNoEdge(t *testing.T) {
 	// An instance missing the predicate's property simply cannot back it.
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		rm := m.Resources()
+		rm := m.only().rm
 		if err := rm.CreateInstance(tx, "car", map[string]predicate.Value{"km": predicate.Int(1000)}); err != nil {
 			return err
 		}

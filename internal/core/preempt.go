@@ -39,9 +39,9 @@ func preemptSig(p *Promise) string {
 
 // preemptCandidates lists the active promises a request at tier prio may
 // displace, alongside their rows, skipping ids in excluded (the request's
-// own release targets). The engine-level filter (set by NewSharded to keep
+// own release targets). The engine-level filter (set by New to keep
 // composite members out) applies last.
-func (m *Manager) preemptCandidates(r txn.Reader, prio int, excluded map[string]bool) ([]preemption.Candidate, map[string]*Promise, error) {
+func (m *shard) preemptCandidates(r txn.Reader, prio int, excluded map[string]bool) ([]preemption.Candidate, map[string]*Promise, error) {
 	act, err := m.activePromises(r)
 	if err != nil {
 		return nil, nil, err
@@ -53,7 +53,7 @@ func (m *Manager) preemptCandidates(r txn.Reader, prio int, excluded map[string]
 		if !p.Preemptible || p.Priority >= prio || excluded[p.ID] {
 			continue
 		}
-		if m.cfg.preemptFilter != nil && !m.cfg.preemptFilter(p.ID) {
+		if !m.preemptFilter(p.ID) {
 			continue
 		}
 		cands = append(cands, preemption.Candidate{
@@ -71,7 +71,7 @@ func (m *Manager) preemptCandidates(r txn.Reader, prio int, excluded map[string]
 // returns the plan their revocation enables, plus the victims. A nil plan
 // with nil error means preemption cannot help either; the caller rejects
 // with the original reason.
-func (m *Manager) planPreempt(ctx context.Context, tx *txn.Tx, st *execState, preds []Predicate, releases []*Promise, d time.Duration, prio int) (*grantPlan, []*Promise, error) {
+func (m *shard) planPreempt(ctx context.Context, tx *txn.Tx, st *execState, preds []Predicate, releases []*Promise, d time.Duration, prio int) (*grantPlan, []*Promise, error) {
 	if prio <= 0 {
 		return nil, nil, nil
 	}
@@ -125,7 +125,7 @@ func (m *Manager) planPreempt(ctx context.Context, tx *txn.Tx, st *execState, pr
 // empty when the displacing sub-promise does not exist yet (cross-shard
 // property preemption); Reservation.StampPreemptedBy fills it in before
 // the events publish.
-func (m *Manager) preemptPromise(tx *txn.Tx, st *execState, p *Promise, by string, byPriority int) error {
+func (m *shard) preemptPromise(tx *txn.Tx, st *execState, p *Promise, by string, byPriority int) error {
 	mark := len(st.events)
 	if err := m.releasePromise(tx, st, p, Preempted); err != nil {
 		return err
@@ -152,11 +152,11 @@ func (m *Manager) preemptPromise(tx *txn.Tx, st *execState, p *Promise, by strin
 // must have reserved every shard (the victims that can restore
 // feasibility may hold instances anywhere), which is why grantCross
 // escalates to the full lock and reservation set first.
-func (s *ShardedManager) preemptFloat(pr PromiseRequest, resvs map[int]*Reservation, floating []floatPred) (map[int]*shardFloatPlan, []slotMigration, bool, error) {
+func (s *Manager) preemptFloat(pr PromiseRequest, resvs map[int]*Reservation, floating []floatPred) (map[int]*shardFloatPlan, []slotMigration, bool, error) {
 	victimShard := make(map[string]int)
 	var cands []preemption.Candidate
 	for _, sh := range sortedKeys(resvs) {
-		cs, _, err := s.shards[sh].m.preemptCandidates(resvs[sh].tx, pr.Priority, nil)
+		cs, _, err := s.shards[sh].preemptCandidates(resvs[sh].tx, pr.Priority, nil)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -178,7 +178,7 @@ func (s *ShardedManager) preemptFloat(pr PromiseRequest, resvs map[int]*Reservat
 					marks[sh] = resvs[sh].tx.Savepoint()
 					scratch[sh] = &execState{}
 				}
-				m := s.shards[sh].m
+				m := s.shards[sh]
 				// Reload the row inside the trial: a savepoint rollback
 				// restores the store, not any copy a prior trial mutated.
 				p, err := m.promise(resvs[sh].tx, c.ID)

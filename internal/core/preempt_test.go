@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -11,55 +10,26 @@ import (
 	"repro/internal/txn"
 )
 
-// preemptEngine is the slice of the engine surface these tests drive,
-// satisfied by both *Manager and *ShardedManager.
-type preemptEngine interface {
-	GrantBatch(ctx context.Context, client string, reqs []PromiseRequest) ([]PromiseResponse, error)
-	CheckBatch(ctx context.Context, client string, ids []string) ([]error, error)
-	Release(ctx context.Context, client string, ids ...string) error
-	Watch(ctx context.Context, opts WatchOptions) (<-chan Event, error)
-	Audit() (*AuditReport, error)
-	Close() error
-}
-
-// newPreemptManager builds a manager (sharded or single per shards) on a
-// fake clock.
-func newPreemptManager(t *testing.T, shards int) (preemptEngine, *clock.Fake) {
+// newPreemptManager builds a manager with the given shard count on a fake
+// clock.
+func newPreemptManager(t *testing.T, shards int) (*Manager, *clock.Fake) {
 	t.Helper()
 	fake := clock.NewFake(time.Date(2007, 1, 7, 0, 0, 0, 0, time.UTC))
-	if shards > 1 {
-		m, err := NewSharded(ShardedConfig{Shards: shards, Config: Config{Clock: fake, DefaultDuration: time.Hour}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, fake
-	}
-	m, err := New(Config{Clock: fake, DefaultDuration: time.Hour})
+	m, err := New(Config{Shards: shards, Clock: fake, DefaultDuration: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m, fake
 }
 
-func seedPool(t *testing.T, e preemptEngine, pool string, cap int64) {
+func seedPool(t *testing.T, m *Manager, pool string, cap int64) {
 	t.Helper()
-	switch m := e.(type) {
-	case *Manager:
-		tx := m.Store().Begin(txn.Block)
-		if err := m.Resources().CreatePool(tx, pool, cap, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	case *ShardedManager:
-		if err := m.CreatePool(pool, cap, nil); err != nil {
-			t.Fatal(err)
-		}
+	if err := m.CreatePool(pool, cap, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func pGrant(t *testing.T, e preemptEngine, client string, pr PromiseRequest) PromiseResponse {
+func pGrant(t *testing.T, e *Manager, client string, pr PromiseRequest) PromiseResponse {
 	t.Helper()
 	resps, err := e.GrantBatch(bg, client, []PromiseRequest{pr})
 	if err != nil {
@@ -230,7 +200,7 @@ func TestPreemptedEventOnWatch(t *testing.T) {
 // the spot holds back untouched.
 func TestFedAbortRestoresPreemptionVictims(t *testing.T) {
 	fake := clock.NewFake(time.Date(2007, 1, 7, 0, 0, 0, 0, time.UTC))
-	m, err := NewSharded(ShardedConfig{Shards: testShards(8), Config: Config{Clock: fake, DefaultDuration: time.Hour}})
+	m, err := New(Config{Shards: testShards(8), Clock: fake, DefaultDuration: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,8 +266,8 @@ func TestDefaultPriorityApplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	tx := m.Store().Begin(txn.Block)
-	if err := m.Resources().CreatePool(tx, "gpus", 1, nil); err != nil {
+	tx := m.only().store.Begin(txn.Block)
+	if err := m.only().rm.CreatePool(tx, "gpus", 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -333,25 +303,11 @@ func TestPropertyPreemptionDisplacesPinnedHolder(t *testing.T) {
 		props := func(color string, big bool) map[string]predicate.Value {
 			return map[string]predicate.Value{"color": predicate.Str(color), "big": predicate.Bool(big)}
 		}
-		switch m := e.(type) {
-		case *Manager:
-			tx := m.Store().Begin(txn.Block)
-			if err := m.Resources().CreateInstance(tx, "i-red-big", props("red", true)); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Resources().CreateInstance(tx, "i-red", props("red", false)); err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-		case *ShardedManager:
-			if err := m.CreateInstance("i-red-big", props("red", true)); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.CreateInstance("i-red", props("red", false)); err != nil {
-				t.Fatal(err)
-			}
+		if err := e.CreateInstance("i-red-big", props("red", true)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.CreateInstance("i-red", props("red", false)); err != nil {
+			t.Fatal(err)
 		}
 		// Two spot holds pin both red instances (the matcher may place them
 		// either way round).

@@ -14,7 +14,7 @@ import (
 func seedHotel(t *testing.T, m *Manager) {
 	t.Helper()
 	seed(t, m, func(tx *txn.Tx) error {
-		rm := m.Resources()
+		rm := m.only().rm
 		if err := rm.CreateInstance(tx, "room-316", map[string]predicate.Value{
 			"floor": predicate.Int(3), "view": predicate.Bool(true),
 		}); err != nil {
@@ -71,7 +71,7 @@ func TestFirstFitAblationLosesGrant(t *testing.T) {
 	// is added later... instead use id order trickery).
 	m, _ := newManager(t, Config{PropertyMode: FirstFitMode})
 	seed(t, m, func(tx *txn.Tx) error {
-		rm := m.Resources()
+		rm := m.only().rm
 		// id order: "room-a512" < "room-b316"; first-fit gives the view
 		// promise room-a512, stranding the 5th-floor request.
 		if err := rm.CreateInstance(tx, "room-a512", map[string]predicate.Value{
@@ -227,9 +227,9 @@ func TestPostActionRepairImpossibleRollsBack(t *testing.T) {
 		t.Fatalf("ActionErr = %v, want ErrPromiseViolated", resp.ActionErr)
 	}
 	// Rolled back: room 512 still has its view.
-	tx := m.Store().Begin(txn.Block)
+	tx := m.only().store.Begin(txn.Block)
 	defer tx.Commit()
-	in, _ := m.Resources().Instance(tx, "room-512")
+	in, _ := m.only().rm.Instance(tx, "room-512")
 	if v, _ := in.Props["view"].AsBool(); !v {
 		t.Fatal("violating property change was not rolled back")
 	}
@@ -256,9 +256,9 @@ func TestPropertyTakenUnderPromiseWithAtomicRelease(t *testing.T) {
 	if resp.ActionErr != nil {
 		t.Fatalf("booking failed: %v", resp.ActionErr)
 	}
-	tx := m.Store().Begin(txn.Block)
+	tx := m.only().store.Begin(txn.Block)
 	defer tx.Commit()
-	in, _ := m.Resources().Instance(tx, room)
+	in, _ := m.only().rm.Instance(tx, room)
 	if in.Status != resource.Taken {
 		t.Fatalf("room status = %v", in.Status)
 	}
@@ -268,7 +268,7 @@ func TestMixedViewRequestAtomic(t *testing.T) {
 	// One request mixing all three views is granted or rejected as a unit.
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		rm := m.Resources()
+		rm := m.only().rm
 		if err := rm.CreatePool(tx, "budget", 500, nil); err != nil {
 			return err
 		}
@@ -302,7 +302,7 @@ func TestModifyPropertyPromiseWeakening(t *testing.T) {
 	// beds", then settles for "twin beds" — an atomic modify.
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreateInstance(tx, "room-7", map[string]predicate.Value{
+		return m.only().rm.CreateInstance(tx, "room-7", map[string]predicate.Value{
 			"smoking": predicate.Bool(false), "view": predicate.Bool(true), "beds": predicate.Str("twin"),
 		})
 	})

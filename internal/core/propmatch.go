@@ -270,7 +270,7 @@ func (pm *propMatcher) indexCandidates(e predicate.Expr) (map[string]*candEntry,
 // consistency preconditions (called inside a transaction with
 // tx.Writes() == 0, MatchingMode) are the caller's. See the file comment
 // for why the verdict is exactly the slow path's.
-func (m *Manager) planPropertyFast(preds []Predicate, plan *grantPlan) bool {
+func (m *shard) planPropertyFast(preds []Predicate, plan *grantPlan) bool {
 	pm := &m.pmatch
 	nSlots := len(pm.slotList)
 	nLeft := nSlots + len(preds)

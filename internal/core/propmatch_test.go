@@ -20,7 +20,7 @@ import (
 func TestMatcherStateInvalidation(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s, _ := newShardedT(t, ShardedConfig{Shards: shards, Config: Config{DefaultDuration: time.Hour}})
+			s, _ := newShardedT(t, Config{Shards: shards, DefaultDuration: time.Hour})
 			a := nameOnShard(t, s, 0, "inv-a")
 			b := nameOnShard(t, s, 1, "inv-b")
 			for _, id := range []string{a, b} {

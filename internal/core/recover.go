@@ -1,9 +1,9 @@
 package core
 
 // This file is the startup half of the durability layer (durable.go holds
-// the record vocabulary and commit-path hooks): OpenDurable and
-// OpenDurableSharded build an engine whose state is the latest checkpoint
-// plus a replay of the log tail, then keep it durable from that point on.
+// the record vocabulary and commit-path hooks): OpenDurable builds an
+// engine whose state is the latest checkpoint plus a replay of the log
+// tail, then keeps it durable from that point on.
 //
 // Recovery order matters and is fixed here:
 //
@@ -89,15 +89,15 @@ func writeManifest(dir string, shards int) error {
 	return os.Rename(name, filepath.Join(dir, manifestName))
 }
 
-// durableShard pairs one shard's manager with its log and directory.
+// durableShard pairs one shard with its log and directory.
 type durableShard struct {
-	m   *Manager
+	m   *shard
 	log *wal.Log
 	dir string
 }
 
 // durableEngine is the checkpoint/recovery runtime owned by a durable
-// Manager or ShardedManager.
+// Manager.
 type durableEngine struct {
 	dir    string
 	busDir string
@@ -108,7 +108,7 @@ type durableEngine struct {
 	busLog     *wal.Log
 	busPersist *persistLog
 	shards     []durableShard
-	sharded    *ShardedManager // nil for a single-store engine
+	s          *Manager
 	health     *engineHealth
 
 	// mu serializes checkpoints against each other and against Close.
@@ -128,53 +128,24 @@ type durableEngine struct {
 	checkpoints atomic.Uint64
 }
 
-// shardDirName returns the per-shard log directory under the data dir. A
-// single-store engine is shard 0, so a directory seeded by one layout can
-// in principle be reopened by the other (the manifest still pins the
-// count).
+// shardDirName returns the per-shard log directory under the data dir.
 func shardDirName(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%d", i))
 }
 
-// OpenDurable opens (or creates) a durable single-store Manager over
-// opts.Dir: state is recovered from the directory, then every commit is
-// logged to it. Config.Store must be nil — the store's contents are the
-// directory's to dictate.
+// OpenDurable opens (or creates) a durable Manager over opts.Dir: state is
+// recovered from the directory, then every commit is logged to it. The
+// directory's manifest must agree with the configured shard count (use
+// ReadManifest to adopt an existing directory's count).
 func OpenDurable(cfg Config, opts DurabilityOptions) (*Manager, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("core: DurabilityOptions.Dir is required")
 	}
-	if cfg.Store != nil {
-		return nil, fmt.Errorf("core: OpenDurable needs a fresh store; Config.Store must be nil")
-	}
-	m, err := New(cfg)
+	s, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	d, err := openDurable(opts, []*Manager{m}, m.bus, nil, m.clk)
-	if err != nil {
-		return nil, err
-	}
-	m.durable = d
-	return m, nil
-}
-
-// OpenDurableSharded is OpenDurable for a ShardedManager. The directory's
-// manifest must agree with the configured shard count (use ReadManifest to
-// adopt an existing directory's count).
-func OpenDurableSharded(cfg ShardedConfig, opts DurabilityOptions) (*ShardedManager, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("core: DurabilityOptions.Dir is required")
-	}
-	s, err := NewSharded(cfg)
-	if err != nil {
-		return nil, err
-	}
-	mgrs := make([]*Manager, len(s.shards))
-	for i, sh := range s.shards {
-		mgrs[i] = sh.m
-	}
-	d, err := openDurable(opts, mgrs, s.bus, s, s.clk)
+	d, err := openDurable(opts, s)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +155,7 @@ func OpenDurableSharded(cfg ShardedConfig, opts DurabilityOptions) (*ShardedMana
 
 // openDurable runs the recovery sequence described at the top of the file
 // and returns the armed runtime.
-func openDurable(opts DurabilityOptions, mgrs []*Manager, bus *EventBus, s *ShardedManager, clk clock.Clock) (*durableEngine, error) {
+func openDurable(opts DurabilityOptions, s *Manager) (*durableEngine, error) {
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = DefaultCheckpointEvery
 	}
@@ -199,50 +170,48 @@ func openDurable(opts DurabilityOptions, mgrs []*Manager, bus *EventBus, s *Shar
 	if err != nil {
 		return nil, err
 	}
-	if mf != nil && mf.Shards != len(mgrs) {
-		return nil, fmt.Errorf("core: data directory %s holds %d shard(s), engine configured with %d", dir, mf.Shards, len(mgrs))
+	if mf != nil && mf.Shards != len(s.shards) {
+		return nil, fmt.Errorf("core: data directory %s holds %d shard(s), engine configured with %d", dir, mf.Shards, len(s.shards))
 	}
 	if mf == nil {
-		if err := writeManifest(dir, len(mgrs)); err != nil {
+		if err := writeManifest(dir, len(s.shards)); err != nil {
 			return nil, err
 		}
 	}
 
 	d := &durableEngine{
 		dir: dir, busDir: filepath.Join(dir, "bus"),
-		opts: opts, clk: clk, bus: bus, sharded: s,
+		opts: opts, clk: s.clk, bus: s.bus, s: s,
 		health: &engineHealth{},
 	}
 	d.health.onTrip = d.armReprobe
-	for _, m := range mgrs {
-		m.health = d.health
+	for _, sh := range s.shards {
+		sh.health = d.health
 	}
-	if s != nil {
-		s.health = d.health
-	}
+	s.health = d.health
 
 	// 1. Bus first: sequence numbering must be restored before any store
 	// replay publishes snapshots stamped with epochs.
-	if err := recoverBus(bus, s, d.busDir); err != nil {
+	if err := s.recoverBus(d.busDir); err != nil {
 		return nil, fmt.Errorf("core: recovering event log: %w", err)
 	}
 
 	// 2. Per-shard store replay.
 	var maxEpoch uint64
-	for i, m := range mgrs {
+	for i, sh := range s.shards {
 		sdir := shardDirName(dir, i)
-		epoch, err := recoverStore(m, sdir)
+		epoch, err := recoverStore(sh, sdir)
 		if err != nil {
 			return nil, fmt.Errorf("core: recovering shard %d: %w", i, err)
 		}
 		if epoch > maxEpoch {
 			maxEpoch = epoch
 		}
-		d.shards = append(d.shards, durableShard{m: m, dir: sdir})
+		d.shards = append(d.shards, durableShard{m: sh, dir: sdir})
 	}
 	// A commit whose events record was lost in the crash must still never
 	// see its epoch's sequence numbers reissued.
-	bus.ensureSeqAtLeast(maxEpoch)
+	s.bus.ensureSeqAtLeast(maxEpoch)
 
 	// 3. Fresh segments, generation markers, persist hooks.
 	wopts := wal.Options{Policy: opts.Sync, SyncEvery: opts.SyncEvery}
@@ -266,15 +235,12 @@ func openDurable(opts DurabilityOptions, mgrs []*Manager, bus *EventBus, s *Shar
 		d.shards[i].log = lg
 		p := &persistLog{log: lg, health: d.health}
 		d.shards[i].m.persist = p
-		d.shards[i].m.busPersist = d.busPersist
 		p.active.Store(true)
 	}
 	d.busPersist.health = d.health
 	d.busPersist.active.Store(true)
-	bus.SetTap(d.busPersist.logEvents)
-	if s != nil {
-		s.busPersist = d.busPersist
-	}
+	s.bus.SetTap(d.busPersist.logEvents)
+	s.busPersist = d.busPersist
 
 	// 4. Re-arm expiry and advance id generators. Past-due promises fire
 	// (asynchronously) through the normal expiry path, which is now logged.
@@ -313,7 +279,7 @@ func openDurable(opts DurabilityOptions, mgrs []*Manager, bus *EventBus, s *Shar
 // tables in one transaction, then each retained commit record in its own,
 // all through the normal commit path. It returns the highest epoch seen on
 // a replayed record (zero when none).
-func recoverStore(m *Manager, dir string) (maxEpoch uint64, err error) {
+func recoverStore(m *shard, dir string) (maxEpoch uint64, err error) {
 	_, _, payload, err := wal.LatestCheckpoint(dir)
 	if err != nil {
 		return 0, err
@@ -388,11 +354,10 @@ func recoverStore(m *Manager, dir string) (maxEpoch uint64, err error) {
 	return maxEpoch, err
 }
 
-// recoverBus rebuilds the shared bus — and, sharded, the composite
-// directory — from the bus checkpoint and log tail. Replay is idempotent:
-// events at or below the restored cursor are skipped and directory records
-// are plain overwrites.
-func recoverBus(bus *EventBus, s *ShardedManager, dir string) error {
+// recoverBus rebuilds the shared bus and the composite directory from the
+// bus checkpoint and log tail. Replay is idempotent: events at or below the
+// restored cursor are skipped and directory records are plain overwrites.
+func (s *Manager) recoverBus(dir string) error {
 	_, _, payload, err := wal.LatestCheckpoint(dir)
 	if err != nil {
 		return err
@@ -402,16 +367,14 @@ func recoverBus(bus *EventBus, s *ShardedManager, dir string) error {
 		if err := json.Unmarshal(payload, &ck); err != nil {
 			return fmt.Errorf("decoding bus checkpoint: %w", err)
 		}
-		bus.restore(ck.Seq, ck.Ring)
-		if s != nil {
-			for i := range ck.Composites {
-				s.restoreComposite(&ck.Composites[i])
-			}
-			for id, shard := range ck.Moved {
-				s.moved.Store(id, shard)
-			}
-			s.compIDs.EnsureAtLeast(ck.CompNext)
+		s.bus.restore(ck.Seq, ck.Ring)
+		for i := range ck.Composites {
+			s.restoreComposite(&ck.Composites[i])
 		}
+		for id, shard := range ck.Moved {
+			s.moved.Store(id, shard)
+		}
+		s.compIDs.EnsureAtLeast(ck.CompNext)
 	}
 	_, err = wal.Replay(dir, func(p []byte) error {
 		var rec walRecord
@@ -420,11 +383,9 @@ func recoverBus(bus *EventBus, s *ShardedManager, dir string) error {
 		}
 		switch rec.T {
 		case recEvents:
-			bus.restoreEvents(rec.Events)
+			s.bus.restoreEvents(rec.Events)
 		case recDir:
-			if s != nil {
-				s.applyDirRecord(&rec)
-			}
+			s.applyDirRecord(&rec)
 		}
 		return nil
 	})
@@ -432,7 +393,7 @@ func recoverBus(bus *EventBus, s *ShardedManager, dir string) error {
 }
 
 // restoreComposite re-installs one checkpointed composite-directory entry.
-func (s *ShardedManager) restoreComposite(wc *walComposite) {
+func (s *Manager) restoreComposite(wc *walComposite) {
 	c := compositeFromWal(wc)
 	s.dirMu.Lock()
 	for _, part := range c.parts {
@@ -444,7 +405,7 @@ func (s *ShardedManager) restoreComposite(wc *walComposite) {
 }
 
 // applyDirRecord replays one logged directory mutation.
-func (s *ShardedManager) applyDirRecord(rec *walRecord) {
+func (s *Manager) applyDirRecord(rec *walRecord) {
 	switch rec.Op {
 	case dirAdd:
 		if rec.Comp != nil {
@@ -532,20 +493,18 @@ func (d *durableEngine) checkpointLocked() error {
 	}
 	seq, ring := d.bus.snapshotRing()
 	ck := busCheckpoint{Seq: seq, Ring: ring}
-	if s := d.sharded; s != nil {
-		for id, c := range s.snapshotDir() {
-			ck.Composites = append(ck.Composites, *compositeToWal(id, c))
-		}
-		moved := make(map[string]int)
-		s.moved.Range(func(k, v any) bool {
-			moved[k.(string)] = v.(int)
-			return true
-		})
-		if len(moved) > 0 {
-			ck.Moved = moved
-		}
-		ck.CompNext = s.compIDs.Count()
+	for id, c := range d.s.snapshotDir() {
+		ck.Composites = append(ck.Composites, *compositeToWal(id, c))
 	}
+	moved := make(map[string]int)
+	d.s.moved.Range(func(k, v any) bool {
+		moved[k.(string)] = v.(int)
+		return true
+	})
+	if len(moved) > 0 {
+		ck.Moved = moved
+	}
+	ck.CompNext = d.s.compIDs.Count()
 	payload, err := json.Marshal(ck)
 	if err != nil {
 		return err
@@ -719,27 +678,7 @@ func (d *durableEngine) closeLogs() {
 // Checkpoint forces a checkpoint of a durable Manager; see
 // DurabilityOptions.CheckpointEvery for the automatic cadence.
 // ErrNotDurable without a data directory.
-func (m *Manager) Checkpoint() error {
-	if m.durable == nil {
-		return ErrNotDurable
-	}
-	return m.durable.Checkpoint()
-}
-
-// Close flushes state to the data directory (final checkpoint) and closes
-// its logs. A Manager without a data directory closes trivially. See
-// promises.Engine.
-func (m *Manager) Close() error {
-	if m.durable == nil {
-		m.exp.shutdown()
-		return nil
-	}
-	return m.durable.close()
-}
-
-// Checkpoint forces a checkpoint of a durable ShardedManager; ErrNotDurable
-// without a data directory.
-func (s *ShardedManager) Checkpoint() error {
+func (s *Manager) Checkpoint() error {
 	if s.durable == nil {
 		return ErrNotDurable
 	}
@@ -747,12 +686,12 @@ func (s *ShardedManager) Checkpoint() error {
 }
 
 // Close flushes state to the data directory (final checkpoint) and closes
-// its logs. A ShardedManager without a data directory closes trivially. See
-// promises.Engine.
-func (s *ShardedManager) Close() error {
+// its logs. A Manager without a data directory only stops its expiry
+// alarms. See promises.Engine.
+func (s *Manager) Close() error {
 	if s.durable == nil {
 		for _, sh := range s.shards {
-			sh.m.exp.shutdown()
+			sh.exp.shutdown()
 		}
 		return nil
 	}

@@ -109,9 +109,9 @@ type Request struct {
 	// ActionParams are ActionName's parameters.
 	ActionParams map[string]string
 	// Resources optionally names the pools and instances Action touches.
-	// The single-store Manager ignores it; the ShardedManager uses it to
-	// route the action to the shard owning those resources (an action only
-	// sees the resource state of the shard it runs on).
+	// The Manager uses it to route the action to the shard owning those
+	// resources (an action only sees the resource state of the shard it
+	// runs on).
 	Resources []string
 }
 

@@ -109,7 +109,7 @@ type PropertyContext struct {
 // grant, held open inside a store transaction until Confirm or Abort. The
 // caller must hold the shard's mutex for the reservation's whole lifetime.
 type Reservation struct {
-	m       *Manager
+	m       *shard
 	tx      *txn.Tx
 	st      *execState
 	client  string
@@ -131,7 +131,7 @@ type Reservation struct {
 //   - a rejection response (the transaction was rolled back; release
 //     targets remain in force, §4),
 //   - an internal error (also rolled back).
-func (m *Manager) Reserve(ctx context.Context, client string, rr ReserveRequest) (*Reservation, *PromiseResponse, error) {
+func (m *shard) Reserve(ctx context.Context, client string, rr ReserveRequest) (*Reservation, *PromiseResponse, error) {
 	tx := m.store.Begin(txn.Block)
 	st := &execState{}
 	start := m.clk.Now()
@@ -244,7 +244,7 @@ func (m *Manager) Reserve(ctx context.Context, client string, rr ReserveRequest)
 // decision). Missing instances, named holds and lapsed holders all report
 // false (the grant path then handles them exactly as the single store
 // would).
-func (m *Manager) propertySlotHolder(inst string) (bool, error) {
+func (m *shard) propertySlotHolder(inst string) (bool, error) {
 	snap := m.store.Snapshot()
 	in, err := m.rm.Instance(snap, inst)
 	if errors.Is(err, txn.ErrNotFound) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"time"
@@ -12,98 +11,22 @@ import (
 	"repro/internal/clock"
 	"repro/internal/escrow"
 	"repro/internal/ids"
-	"repro/internal/predicate"
 	"repro/internal/resource"
 	"repro/internal/softlock"
 	"repro/internal/txn"
 )
 
-// PropertyMode selects the implementation technique for property-view
-// promises (§5).
-type PropertyMode int
-
-// Property-view implementation techniques.
-const (
-	// MatchingMode is the satisfiability check of §5 with tentative
-	// allocation: grants and post-action checks run bipartite matching and
-	// may rearrange tentative allocations to admit more promises.
-	MatchingMode PropertyMode = iota
-	// FirstFitMode is the naive ablation: each property promise is bound
-	// to the first satisfying available instance and never moved. The E7
-	// experiment measures how many grants this loses.
-	FirstFitMode
-)
-
-// Config configures a Manager.
-type Config struct {
-	// Store is the transactional store shared with the resource manager.
-	// Nil creates a fresh store (and Resources must then be nil too).
-	Store *txn.Store
-	// Resources is the resource manager. Nil creates one on Store.
-	Resources *resource.Manager
-	// Clock drives promise expiry. Nil uses the system clock.
-	Clock clock.Clock
-	// DefaultDuration applies when a request does not name a duration.
-	// Zero means 30 seconds.
-	DefaultDuration time.Duration
-	// MaxDuration caps granted durations (§6: the manager "might … offer
-	// a guarantee that expires sooner than the client wished"). Zero means
-	// 10 minutes.
-	MaxDuration time.Duration
-	// PropertyMode selects the property-view technique.
-	PropertyMode PropertyMode
-	// DisablePostCheck skips the post-action promise check — the E9
-	// ablation demonstrating why §8 requires it. Never set in production.
-	DisablePostCheck bool
-	// Suppliers maps pool ids to upstream promise makers for delegation
-	// (§5). Optional. Suppliers and actions run inside the request's
-	// transaction, so they must never call back into this manager (see
-	// txn.Store.Begin).
-	Suppliers map[string]Supplier
-	// Actions resolves Request.ActionName to a runnable action, so
-	// applications written against the unified Engine surface can invoke
-	// named service operations on a local manager exactly as they would
-	// over the wire. Optional; service.Registry implements it.
-	Actions ActionResolver
-	// IDPrefix overrides the promise-id prefix. Empty means "prm". The
-	// sharded manager gives each shard a distinct prefix so promise ids
-	// stay unique across shards and route back to their owning shard.
-	IDPrefix string
-	// ExpiryWarning, when positive, emits an EventExpiryImminent this long
-	// before each promise's deadline, so clients renew reactively instead
-	// of polling CheckBatch. Zero disables the warning.
-	ExpiryWarning time.Duration
-	// DefaultPriority is the tier stamped onto requests that do not name
-	// one (PromiseRequest.Priority == 0). Zero keeps tier 0, which never
-	// preempts; a deployment that wants ordinary traffic to displace spot
-	// holds sets a positive default. See preempt.go.
-	DefaultPriority int
-	// ReplayRing sets the event bus's replay-ring capacity (how far back a
-	// Watch subscriber can resume with AfterSeq). Zero means
-	// DefaultReplayRing. Ignored when an external bus is injected (the
-	// sharded manager sizes the shared bus itself).
-	ReplayRing int
-
-	// bus shares one event bus across shards; nil creates a private one.
-	// gate wraps deadline-driven expiry so the sharded manager can take the
-	// shard lock around it; nil runs it directly. Both are set only by
-	// NewSharded.
-	bus  *EventBus
-	gate func(run func())
-	// disableFastPath forces property planning and PropertyContext down the
-	// scan-everything slow path. Tests only: the equivalence suites run
-	// both ways to pin fast ≡ slow.
-	disableFastPath bool
-	// preemptFilter, when non-nil, vetoes preemption candidates by promise
-	// id. NewSharded installs one that keeps composite members out of
-	// per-shard victim sets (a composite must be displaced whole or not at
-	// all, and only its coordinator can see the whole).
-	preemptFilter func(id string) bool
-}
-
-// Manager is the promise manager. It is safe for concurrent use; every
-// Execute call runs as one ACID transaction against the shared store (§8).
-type Manager struct {
+// shard is one stripe of the engine: a private transactional store holding
+// its slice of the promise table, the escrow ledger and the soft-lock tags,
+// plus the resource pools and instances that hash to it. It runs the full
+// single-store §8 semantics — every Execute is one ACID transaction against
+// its store — and the Manager composes shards into the engine clients see.
+type shard struct {
+	// mu is the shard lock of the Manager's lock-ordering protocol.
+	// Mutating operations (and the reserve/confirm pipeline, which requires
+	// sole use of the store) hold it; read paths work from immutable store
+	// snapshots and take it only to freeze a racing slot migration.
+	mu         sync.Mutex
 	store      *txn.Store
 	rm         *resource.Manager
 	ledger     *escrow.Ledger
@@ -116,117 +39,68 @@ type Manager struct {
 	exp        expiryIndex
 	cand       candidateIndex
 	pmatch     propMatcher
-	gate       func(run func())
+	// preemptFilter vetoes preemption candidates by promise id: composite
+	// members never join a shard-local victim set (a composite is displaced
+	// whole or not at all, and only the Manager sees the whole).
+	preemptFilter func(id string) bool
 	// pubMu is held across a transaction's commit and the publication of
 	// its events, so bus order equals commit order and a promise's
-	// lifecycle events can never invert even on a bare (unsharded,
-	// unlocked) Manager.
+	// lifecycle events can never invert.
 	pubMu sync.Mutex
-	// persist mirrors this store's commits into its write-ahead log and
-	// busPersist the shared event log; both nil on a non-durable engine.
-	// durable is the owning durability runtime (set by OpenDurable; on a
-	// sharded engine it lives on the ShardedManager instead).
-	persist    *persistLog
-	busPersist *persistLog
-	durable    *durableEngine
+	// persist mirrors this store's commits into the shard's write-ahead
+	// log; nil on a non-durable engine.
+	persist *persistLog
 	// health is the shared degraded-mode latch (nil on a non-durable
 	// engine, which cannot degrade).
 	health *engineHealth
 }
 
-// New creates a Manager, installing its promise, escrow and soft-lock
-// tables into the store. Call New at most once per store.
-func New(cfg Config) (*Manager, error) {
-	if cfg.Store == nil {
-		if cfg.Resources != nil {
-			return nil, fmt.Errorf("core: Config.Resources set without Config.Store")
-		}
-		cfg.Store = txn.NewStore()
-	}
-	if cfg.Resources == nil {
-		rm, err := resource.NewManager(cfg.Store)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Resources = rm
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.System{}
-	}
-	if cfg.DefaultDuration <= 0 {
-		cfg.DefaultDuration = 30 * time.Second
-	}
-	if cfg.MaxDuration <= 0 {
-		cfg.MaxDuration = 10 * time.Minute
-	}
-	if cfg.IDPrefix == "" {
-		cfg.IDPrefix = "prm"
-	}
-	if err := cfg.Store.CreateTable(TablePromises); err != nil {
-		return nil, err
-	}
-	if err := cfg.Store.CreateTable(TablePromisesDone); err != nil {
-		return nil, err
-	}
-	ledger, err := escrow.NewLedger(cfg.Store, cfg.Resources)
+// newShard creates one shard with a fresh store, installing its promise,
+// escrow and soft-lock tables. cfg is already normalized by New; promise
+// ids are issued as "<idPrefix>-<n>" and events publish on the shared bus.
+func newShard(cfg Config, idPrefix string, bus *EventBus, preemptFilter func(id string) bool) (*shard, error) {
+	store := txn.NewStore()
+	rm, err := resource.NewManager(store)
 	if err != nil {
 		return nil, err
 	}
-	tags, err := softlock.NewTags(cfg.Store, cfg.Resources)
+	if err := store.CreateTable(TablePromises); err != nil {
+		return nil, err
+	}
+	if err := store.CreateTable(TablePromisesDone); err != nil {
+		return nil, err
+	}
+	ledger, err := escrow.NewLedger(store, rm)
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{
-		store:      cfg.Store,
-		rm:         cfg.Resources,
-		ledger:     ledger,
-		tags:       tags,
-		clk:        cfg.Clock,
-		promiseIDs: ids.New(cfg.IDPrefix),
-		cfg:        cfg,
-		bus:        cfg.bus,
-		gate:       cfg.gate,
+	tags, err := softlock.NewTags(store, rm)
+	if err != nil {
+		return nil, err
 	}
-	if m.bus == nil {
-		m.bus = NewEventBusCap(cfg.ReplayRing)
-	}
-	if m.gate == nil {
-		m.gate = func(run func()) { run() }
+	m := &shard{
+		store:         store,
+		rm:            rm,
+		ledger:        ledger,
+		tags:          tags,
+		clk:           cfg.Clock,
+		promiseIDs:    ids.New(idPrefix),
+		cfg:           cfg,
+		bus:           bus,
+		preemptFilter: preemptFilter,
 	}
 	// Every committed transaction publishes an immutable store snapshot
 	// (txn/snapshot.go); stamping it with the bus sequence makes snapshot
 	// epochs and Watch streams describe the same history, and the commit
 	// hook keeps the property-candidate index (candidates.go) current for
 	// the cross-shard reservation pre-filter. Both installs happen before
-	// the manager is visible to any other goroutine.
+	// the shard is visible to any other goroutine.
 	m.store.SetEpochSource(m.bus.Seq)
-	m.candInit(m.store.Snapshot())
+	m.candInit()
 	m.store.SetCommitHook(m.onCommit)
 	m.exp.alarmer, _ = cfg.Clock.(clock.Alarmer)
-	// A failed deadline pass re-arms itself on a backoff; the counter is
-	// how the failure surfaces (Stats.ExpiryErrors) — there is no caller
-	// to return the error to.
-	m.exp.fire = func() {
-		if err := m.expireDue(); err != nil {
-			m.metrics.expiryErrors.Inc()
-		}
-	}
 	return m, nil
 }
-
-// Watch subscribes to the manager's promise lifecycle events; see
-// promises.Engine. The channel closes when ctx is cancelled or — under
-// SlowDisconnect — when the subscriber falls behind.
-func (m *Manager) Watch(ctx context.Context, opts WatchOptions) (<-chan Event, error) {
-	return m.bus.Watch(ctx, opts)
-}
-
-// Resources returns the resource manager (for seeding state in examples
-// and tests).
-func (m *Manager) Resources() *resource.Manager { return m.rm }
-
-// Store returns the backing store.
-func (m *Manager) Store() *txn.Store { return m.store }
 
 // execState carries cross-trust-domain compensation hooks for one request
 // (upstream promises acquired during planning must be released if the local
@@ -251,14 +125,14 @@ type execState struct {
 // requests, runs its action under its promise environment, applies release
 // options atomically with action success, and performs the post-action
 // promise check — all inside a single ACID transaction, exactly as §8
-// prescribes. The store admits one transaction at a time, so concurrent
-// requests run one after another and never deadlock.
+// prescribes. The caller holds the shard lock, and the store admits one
+// transaction at a time besides, so requests never deadlock.
 //
 // The context bounds the whole call: cancellation is honoured before the
 // transaction starts (a dead client never starts one) and propagates to
 // upstream supplier calls made while planning. Work already committed is
 // never undone by a late cancellation.
-func (m *Manager) Execute(ctx context.Context, req Request) (*Response, error) {
+func (m *shard) Execute(ctx context.Context, req Request) (*Response, error) {
 	if req.Client == "" {
 		return nil, fmt.Errorf("%w: missing client", ErrBadRequest)
 	}
@@ -291,7 +165,7 @@ func (m *Manager) Execute(ctx context.Context, req Request) (*Response, error) {
 
 // resolveAction materialises req.ActionName through the configured resolver
 // into req.Action, so the rest of the pipeline sees one action shape.
-func (m *Manager) resolveAction(req *Request) error {
+func (m *shard) resolveAction(req *Request) error {
 	if req.ActionName == "" {
 		return nil
 	}
@@ -310,7 +184,7 @@ func (m *Manager) resolveAction(req *Request) error {
 	return nil
 }
 
-func (m *Manager) execute(ctx context.Context, req Request) (_ *Response, err error) {
+func (m *shard) execute(ctx context.Context, req Request) (_ *Response, err error) {
 	tx := m.store.Begin(txn.Block)
 	st := &execState{}
 	committed := false
@@ -451,7 +325,7 @@ func runAction(a Action, tx *txn.Tx, rm *resource.Manager) (result any, err erro
 // processPromiseRequest evaluates one atomic <promise-request>. It returns
 // the response to send; err is reserved for internal failures that must
 // abort the whole message.
-func (m *Manager) processPromiseRequest(ctx context.Context, tx *txn.Tx, st *execState, client string, pr PromiseRequest) (PromiseResponse, error) {
+func (m *shard) processPromiseRequest(ctx context.Context, tx *txn.Tx, st *execState, client string, pr PromiseRequest) (PromiseResponse, error) {
 	reject := func(format string, args ...any) PromiseResponse {
 		return PromiseResponse{Correlation: pr.RequestID, Reason: fmt.Sprintf(format, args...)}
 	}
@@ -547,7 +421,7 @@ func (m *Manager) processPromiseRequest(ctx context.Context, tx *txn.Tx, st *exe
 	}, nil
 }
 
-func (m *Manager) clampDuration(d time.Duration) time.Duration {
+func (m *shard) clampDuration(d time.Duration) time.Duration {
 	if d <= 0 {
 		d = m.cfg.DefaultDuration
 	}
@@ -564,7 +438,7 @@ func (m *Manager) clampDuration(d time.Duration) time.Duration {
 // reason rejects the request: the client declared (via min) that anything
 // shorter is useless to it, the §6 "manager might … offer a guarantee that
 // expires sooner than the client wished" direction with an explicit floor.
-func (m *Manager) grantDuration(ctx context.Context, requested, min time.Duration) (time.Duration, string) {
+func (m *shard) grantDuration(ctx context.Context, requested, min time.Duration) (time.Duration, string) {
 	d := m.clampDuration(requested)
 	if deadline, ok := ctx.Deadline(); ok {
 		// The deadline is wall-clock; durations are relative, so the cap
@@ -586,7 +460,7 @@ func (m *Manager) grantDuration(ctx context.Context, requested, min time.Duratio
 // problems to the client-visible sentinel errors. It reads through any
 // txn.Reader: a transaction on the write paths, a lock-free snapshot on
 // the read paths.
-func (m *Manager) promiseForClient(r txn.Reader, client, id string) (*Promise, error) {
+func (m *shard) promiseForClient(r txn.Reader, client, id string) (*Promise, error) {
 	p, err := m.promise(r, id)
 	if err != nil {
 		return nil, err
@@ -608,7 +482,7 @@ func (m *Manager) promiseForClient(r txn.Reader, client, id string) (*Promise, e
 	return p, nil
 }
 
-func (m *Manager) promise(r txn.Reader, id string) (*Promise, error) {
+func (m *shard) promise(r txn.Reader, id string) (*Promise, error) {
 	row, err := r.Get(TablePromises, id)
 	if errors.Is(err, txn.ErrNotFound) {
 		row, err = r.Get(TablePromisesDone, id)
@@ -625,7 +499,7 @@ func (m *Manager) promise(r txn.Reader, id string) (*Promise, error) {
 
 // putPromise stores p in the table matching its state: active promises in
 // the scanned promise table, terminal ones in the keyed-only done table.
-func (m *Manager) putPromise(tx *txn.Tx, p *Promise) error {
+func (m *shard) putPromise(tx *txn.Tx, p *Promise) error {
 	if p.State == Active {
 		return tx.Put(TablePromises, p.ID, &promiseRow{p: *p})
 	}
@@ -638,7 +512,7 @@ func (m *Manager) putPromise(tx *txn.Tx, p *Promise) error {
 // validateEnv checks that every environment promise exists, belongs to the
 // client, and has not expired or been released — the "promise-expired"
 // check of §2.
-func (m *Manager) validateEnv(r txn.Reader, client string, env []EnvEntry) error {
+func (m *shard) validateEnv(r txn.Reader, client string, env []EnvEntry) error {
 	for _, e := range env {
 		if _, err := m.promiseForClient(r, client, e.PromiseID); err != nil {
 			return err
@@ -649,7 +523,7 @@ func (m *Manager) validateEnv(r txn.Reader, client string, env []EnvEntry) error
 
 // applyEnvReleases hands back every environment promise whose release
 // option is set.
-func (m *Manager) applyEnvReleases(tx *txn.Tx, st *execState, client string, env []EnvEntry) error {
+func (m *shard) applyEnvReleases(tx *txn.Tx, st *execState, client string, env []EnvEntry) error {
 	for _, e := range env {
 		if !e.Release {
 			continue
@@ -667,7 +541,7 @@ func (m *Manager) applyEnvReleases(tx *txn.Tx, st *execState, client string, env
 
 // releasePromise frees every hold backing p and marks it with the given
 // terminal state (Released, Expired or Preempted).
-func (m *Manager) releasePromise(tx *txn.Tx, st *execState, p *Promise, terminal State) error {
+func (m *shard) releasePromise(tx *txn.Tx, st *execState, p *Promise, terminal State) error {
 	if p.State != Active {
 		return nil
 	}
@@ -748,7 +622,7 @@ func (m *Manager) releasePromise(tx *txn.Tx, st *execState, p *Promise, terminal
 // exactly the promises due, so the check is O(1) when nothing is due —
 // normally the case, because the deadline alarm already lapsed them — and
 // O(expired) otherwise.
-func (m *Manager) sweepExpired(tx *txn.Tx, st *execState) error {
+func (m *shard) sweepExpired(tx *txn.Tx, st *execState) error {
 	now := m.clk.Now()
 	for _, e := range m.exp.dueEntries(now) {
 		if e.warn {
@@ -784,18 +658,10 @@ func (m *Manager) sweepExpired(tx *txn.Tx, st *execState) error {
 	return nil
 }
 
-// Sweep expires lapsed promises. With an alarm-capable clock (the system
-// clock, the test fake) it is a no-op shim kept for compatibility: the
-// expiry heap already lapsed every promise at its deadline. With a clock
-// that cannot alarm it performs the deadline processing itself.
-func (m *Manager) Sweep() error {
-	return m.expireDue()
-}
-
 // PromiseInfo returns a copy of the promise with the given id, for
 // inspection by tools and tests. It reads the latest committed store
 // snapshot and acquires no lock, so it never queues behind grants.
-func (m *Manager) PromiseInfo(id string) (Promise, error) {
+func (m *shard) PromiseInfo(id string) (Promise, error) {
 	p, err := m.promise(m.store.Snapshot(), id)
 	if err != nil {
 		return Promise{}, err
@@ -805,11 +671,11 @@ func (m *Manager) PromiseInfo(id string) (Promise, error) {
 
 // ActivePromises returns copies of all active, unexpired promises, read
 // from the latest committed store snapshot with no lock acquisition.
-func (m *Manager) ActivePromises() ([]Promise, error) {
+func (m *shard) ActivePromises() ([]Promise, error) {
 	return m.activePromises(m.store.Snapshot())
 }
 
-func (m *Manager) activePromises(r txn.Reader) ([]Promise, error) {
+func (m *shard) activePromises(r txn.Reader) ([]Promise, error) {
 	now := m.clk.Now()
 	var out []Promise
 	err := r.Scan(TablePromises, func(_ string, row txn.Row) bool {
@@ -820,87 +686,4 @@ func (m *Manager) activePromises(r txn.Reader) ([]Promise, error) {
 		return true
 	})
 	return out, err
-}
-
-// Release hands back the named promises atomically: either every id is
-// usable by client and all are released, or none are and the failure is
-// returned — the pure-release message of §6 as a method.
-func (m *Manager) Release(ctx context.Context, client string, ids ...string) error {
-	if len(ids) == 0 {
-		return nil
-	}
-	env := make([]EnvEntry, len(ids))
-	for i, id := range ids {
-		env[i] = EnvEntry{PromiseID: id, Release: true}
-	}
-	resp, err := m.Execute(ctx, Request{Client: client, Env: env})
-	if err != nil {
-		return err
-	}
-	return resp.ActionErr
-}
-
-// CreatePool registers a pool, in a transaction of its own — the seeding
-// convenience mirrored on ShardedManager so setup code is engine-agnostic.
-func (m *Manager) CreatePool(id string, onHand int64, props map[string]predicate.Value) error {
-	tx := m.store.Begin(txn.Block)
-	if err := m.rm.CreatePool(tx, id, onHand, props); err != nil {
-		_ = tx.Abort()
-		return err
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	return m.durSync()
-}
-
-// CreateInstance registers a named instance, in a transaction of its own.
-func (m *Manager) CreateInstance(id string, props map[string]predicate.Value) error {
-	tx := m.store.Begin(txn.Block)
-	if err := m.rm.CreateInstance(tx, id, props); err != nil {
-		_ = tx.Abort()
-		return err
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	return m.durSync()
-}
-
-// PoolLevel returns the quantity on hand of one pool, for tools and tests,
-// read from the latest committed store snapshot with no lock acquisition.
-func (m *Manager) PoolLevel(pool string) (int64, error) {
-	p, err := m.rm.Pool(m.store.Snapshot(), pool)
-	if err != nil {
-		return 0, err
-	}
-	return p.OnHand, nil
-}
-
-// LoadSeed reads a resource seed file and creates its pools and instances
-// in one transaction.
-func (m *Manager) LoadSeed(r io.Reader) (pools, instances int, err error) {
-	ps, ins, err := resource.ParseSeed(r)
-	if err != nil {
-		return 0, 0, err
-	}
-	tx := m.store.Begin(txn.Block)
-	for _, p := range ps {
-		if err := m.rm.CreatePool(tx, p.ID, p.OnHand, p.Props); err != nil {
-			_ = tx.Abort()
-			return 0, 0, err
-		}
-		pools++
-	}
-	for _, in := range ins {
-		if err := m.rm.CreateInstance(tx, in.ID, in.Props); err != nil {
-			_ = tx.Abort()
-			return 0, 0, err
-		}
-		instances++
-	}
-	if err := tx.Commit(); err != nil {
-		return 0, 0, err
-	}
-	return pools, instances, m.durSync()
 }

@@ -7,9 +7,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
-// TestShardedStressConservation hammers one ShardedManager from many
+// TestShardedStressConservation hammers one Manager from many
 // goroutines across multiple resource pools and asserts the paper's
 // conservation invariants at the end: escrow reservations never exceeded
 // capacity (no over-grant), every consumed unit is accounted for in the
@@ -22,7 +24,12 @@ func TestShardedStressConservation(t *testing.T) {
 		numPools = 6
 		perPool  = 1 << 20
 	)
-	s, err := NewSharded(ShardedConfig{Shards: testShards(4), Config: Config{Clock: nil, DefaultDuration: time.Hour}})
+	// Expiry warnings fall due half a minute into each hour-long promise,
+	// so the workers' periodic clock advances fire deadline passes under
+	// the shard locks concurrently with grants, without lapsing a promise
+	// a worker still holds.
+	fake := clock.NewFake(time.Date(2007, 1, 7, 0, 0, 0, 0, time.UTC))
+	s, err := New(Config{Shards: testShards(4), Clock: fake, DefaultDuration: time.Hour, ExpiryWarning: time.Hour - 30*time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +135,7 @@ func TestShardedStressConservation(t *testing.T) {
 					}
 				}
 				if it%37 == 0 {
-					if err := s.Sweep(); err != nil {
-						t.Error(err)
-						return
-					}
+					fake.Advance(time.Minute)
 				}
 			}
 		}(w)
@@ -181,7 +185,7 @@ func TestShardedStressUpgradeChurn(t *testing.T) {
 		iters   = 120
 		hold    = 3
 	)
-	s, err := NewSharded(ShardedConfig{Shards: testShards(4), Config: Config{DefaultDuration: time.Hour}})
+	s, err := New(Config{Shards: testShards(4), DefaultDuration: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +285,7 @@ func TestShardedStressNoDoubleGrant(t *testing.T) {
 		iters     = 200
 		instances = 16
 	)
-	s, err := NewSharded(ShardedConfig{Shards: testShards(4), Config: Config{DefaultDuration: time.Hour}})
+	s, err := New(Config{Shards: testShards(4), DefaultDuration: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // newShardedT builds a sharded manager on a fake clock. The default shard
 // count follows the CI matrix (testShards); scenarios that pin resources
 // to specific shard indices set cfg.Shards explicitly.
-func newShardedT(t *testing.T, cfg ShardedConfig) (*ShardedManager, *clock.Fake) {
+func newShardedT(t *testing.T, cfg Config) (*Manager, *clock.Fake) {
 	t.Helper()
 	fake := clock.NewFake(time.Date(2007, 1, 7, 0, 0, 0, 0, time.UTC))
 	if cfg.Clock == nil {
@@ -23,7 +23,7 @@ func newShardedT(t *testing.T, cfg ShardedConfig) (*ShardedManager, *clock.Fake)
 	if cfg.Shards == 0 {
 		cfg.Shards = testShards(4)
 	}
-	s, err := NewSharded(cfg)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func newShardedT(t *testing.T, cfg ShardedConfig) (*ShardedManager, *clock.Fake)
 // nameOnShard generates a resource id hashing to the given shard (modulo
 // the actual shard count, so shard-count-generic tests still run under the
 // single-shard CI matrix leg).
-func nameOnShard(tb testing.TB, s *ShardedManager, shard int, base string) string {
+func nameOnShard(tb testing.TB, s *Manager, shard int, base string) string {
 	tb.Helper()
 	shard %= s.NumShards()
 	for i := 0; i < 100000; i++ {
@@ -46,14 +46,14 @@ func nameOnShard(tb testing.TB, s *ShardedManager, shard int, base string) strin
 	return ""
 }
 
-func mustPool(t *testing.T, s *ShardedManager, id string, qty int64) {
+func mustPool(t *testing.T, s *Manager, id string, qty int64) {
 	t.Helper()
 	if err := s.CreatePool(id, qty, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func grantQty(t *testing.T, s *ShardedManager, client string, preds ...Predicate) PromiseResponse {
+func grantQty(t *testing.T, s *Manager, client string, preds ...Predicate) PromiseResponse {
 	t.Helper()
 	resp, err := s.Execute(bg, Request{Client: client, PromiseRequests: []PromiseRequest{{Predicates: preds}}})
 	if err != nil {
@@ -62,7 +62,7 @@ func grantQty(t *testing.T, s *ShardedManager, client string, preds ...Predicate
 	return resp.Promises[0]
 }
 
-func mustHealthy(t *testing.T, s *ShardedManager) {
+func mustHealthy(t *testing.T, s *Manager) {
 	t.Helper()
 	rep, err := s.Audit()
 	if err != nil {
@@ -74,7 +74,7 @@ func mustHealthy(t *testing.T, s *ShardedManager) {
 }
 
 func TestShardedSingleShardGrantRelease(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	pool := nameOnShard(t, s, 2, "widgets")
 	mustPool(t, s, pool, 10)
 
@@ -107,7 +107,7 @@ func TestShardedSingleShardGrantRelease(t *testing.T) {
 }
 
 func TestShardedCrossShardAtomicGrant(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	a := nameOnShard(t, s, 0, "alpha")
 	b := nameOnShard(t, s, 3, "bravo")
 	mustPool(t, s, a, 10)
@@ -152,7 +152,7 @@ func TestShardedCrossShardAtomicGrant(t *testing.T) {
 }
 
 func TestShardedCrossShardRejectionRollsBack(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	a := nameOnShard(t, s, 1, "first")
 	b := nameOnShard(t, s, 2, "second")
 	mustPool(t, s, a, 10)
@@ -173,7 +173,7 @@ func TestShardedCrossShardRejectionRollsBack(t *testing.T) {
 }
 
 func TestShardedReleasesSurviveRejectedGrant(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	a := nameOnShard(t, s, 0, "keep")
 	b := nameOnShard(t, s, 1, "want")
 	mustPool(t, s, a, 10)
@@ -201,7 +201,7 @@ func TestShardedReleasesSurviveRejectedGrant(t *testing.T) {
 }
 
 func TestShardedCrossShardUpgradeReleasesOld(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	a := nameOnShard(t, s, 0, "up-a")
 	b := nameOnShard(t, s, 2, "up-b")
 	mustPool(t, s, a, 10)
@@ -240,7 +240,7 @@ func TestShardedCrossShardUpgradeNeedsFreedCapacity(t *testing.T) {
 	// 5, promise 8 from the freed 5", with the new grant spanning shards.
 	// The request is only satisfiable if the release applies tentatively
 	// before planning — the single-shot path PR 1 shipped rejected it.
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	a := nameOnShard(t, s, 0, "tight-a")
 	b := nameOnShard(t, s, 2, "tight-b")
 	mustPool(t, s, a, 8)
@@ -281,7 +281,7 @@ func TestShardedUpgradeAbortRestoresReleases(t *testing.T) {
 	// Mid-pipeline abort: shard a's reservation tentatively applies the
 	// release, then shard b rejects its slice. The abort must roll shard
 	// a back so the released promise springs back untouched (§4).
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	a := nameOnShard(t, s, 1, "abort-a")
 	b := nameOnShard(t, s, 3, "abort-b")
 	mustPool(t, s, a, 10)
@@ -316,7 +316,7 @@ func TestShardedPropertyUpgradeAcrossShards(t *testing.T) {
 	// An upgrade whose new property predicates are only jointly satisfiable
 	// if the released promise's instance is freed first: x (shard 0) is the
 	// only instance satisfying q, and the old promise holds it.
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	x := nameOnShard(t, s, 0, "inst-x")
 	y := nameOnShard(t, s, 2, "inst-y")
 	if err := s.CreateInstance(x, map[string]predicate.Value{
@@ -363,7 +363,7 @@ func TestShardedNamedDisplacesPropertySlotAcrossShards(t *testing.T) {
 	// as long as the displaced slot can be re-hosted — even when the only
 	// other satisfying instance lives on a different shard. The slot's
 	// sub-promise is then migrated between shards, keeping its id.
-	s, _ := newShardedT(t, ShardedConfig{Shards: 4})
+	s, _ := newShardedT(t, Config{Shards: 4})
 	x := nameOnShard(t, s, 0, "disp-x")
 	y := nameOnShard(t, s, 2, "disp-y")
 	for _, id := range []string{x, y} {
@@ -420,7 +420,7 @@ func TestShardedCompositePartMigration(t *testing.T) {
 	// A migrating slot that is part of a composite: the composite's
 	// directory entry must follow the part to its new shard, so release,
 	// checks and audit keep working on the whole.
-	s, _ := newShardedT(t, ShardedConfig{Shards: 4})
+	s, _ := newShardedT(t, Config{Shards: 4})
 	x := nameOnShard(t, s, 0, "cpm-x")
 	y := nameOnShard(t, s, 2, "cpm-y")
 	pool := nameOnShard(t, s, 1, "cpm-pool")
@@ -481,7 +481,7 @@ func TestShardedCompositePartMigration(t *testing.T) {
 func TestShardedPropertyAcrossShards(t *testing.T) {
 	// Pinned shard count: the scenario places the one matching room on
 	// shard 2 specifically.
-	s, _ := newShardedT(t, ShardedConfig{Shards: 4})
+	s, _ := newShardedT(t, Config{Shards: 4})
 	// Rooms scattered over shards; only one satisfies the predicate.
 	for shard := 0; shard < s.NumShards(); shard++ {
 		id := nameOnShard(t, s, shard, "room")
@@ -511,7 +511,7 @@ func TestShardedPropertyAcrossShards(t *testing.T) {
 }
 
 func TestShardedNamedAcrossShardsAtomic(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	a := nameOnShard(t, s, 0, "seat-a")
 	b := nameOnShard(t, s, 3, "seat-b")
 	for _, id := range []string{a, b} {
@@ -536,7 +536,7 @@ func TestShardedNamedAcrossShardsAtomic(t *testing.T) {
 }
 
 func TestShardedActionRoutedToResourceShard(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	pool := nameOnShard(t, s, 3, "stock")
 	mustPool(t, s, pool, 10)
 
@@ -574,7 +574,7 @@ func TestShardedActionRoutedToResourceShard(t *testing.T) {
 }
 
 func TestShardedActionFailureKeepsCrossShardEnv(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	a := nameOnShard(t, s, 0, "env-a")
 	b := nameOnShard(t, s, 1, "env-b")
 	mustPool(t, s, a, 10)
@@ -608,7 +608,7 @@ func TestShardedActionFailureKeepsCrossShardEnv(t *testing.T) {
 }
 
 func TestShardedEnvReleaseAppliedOnActionSuccess(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	a := nameOnShard(t, s, 0, "rel-a")
 	b := nameOnShard(t, s, 2, "rel-b")
 	mustPool(t, s, a, 10)
@@ -642,7 +642,7 @@ func TestShardedEnvReleaseAppliedOnActionSuccess(t *testing.T) {
 }
 
 func TestShardedGrantBatch(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	var pools []string
 	for shard := 0; shard < s.NumShards(); shard++ {
 		p := nameOnShard(t, s, shard, "batch")
@@ -694,7 +694,7 @@ func TestShardedGrantBatch(t *testing.T) {
 }
 
 func TestShardedExpirySweepAcrossShards(t *testing.T) {
-	s, fake := newShardedT(t, ShardedConfig{Config: Config{DefaultDuration: time.Minute}})
+	s, fake := newShardedT(t, Config{DefaultDuration: time.Minute})
 	a := nameOnShard(t, s, 0, "ttl-a")
 	b := nameOnShard(t, s, 1, "ttl-b")
 	mustPool(t, s, a, 10)
@@ -705,9 +705,6 @@ func TestShardedExpirySweepAcrossShards(t *testing.T) {
 		t.Fatal(pr.Reason)
 	}
 	fake.Advance(2 * time.Minute)
-	if err := s.Sweep(); err != nil {
-		t.Fatal(err)
-	}
 	if errs := checkB(t, s, "c", []string{pr.PromiseID}); !errors.Is(errs[0], ErrPromiseExpired) {
 		t.Fatalf("expired composite reports %v, want ErrPromiseExpired", errs[0])
 	}
@@ -718,7 +715,7 @@ func TestShardedExpirySweepAcrossShards(t *testing.T) {
 }
 
 func TestShardedStatsAggregate(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	var pools []string
 	for shard := 0; shard < s.NumShards(); shard++ {
 		p := nameOnShard(t, s, shard, "stat")
@@ -781,7 +778,7 @@ func TestShardedUpgradeInCrossShardMessage(t *testing.T) {
 	// A same-shard upgrade (release old, grant bigger from the freed
 	// capacity) must keep §4 semantics even when another promise request
 	// in the same message forces the cross-shard path.
-	s, _ := newShardedT(t, ShardedConfig{})
+	s, _ := newShardedT(t, Config{})
 	a := nameOnShard(t, s, 0, "msg-a")
 	b := nameOnShard(t, s, 1, "msg-b")
 	mustPool(t, s, a, 100)
@@ -811,9 +808,9 @@ func TestShardedUpgradeInCrossShardMessage(t *testing.T) {
 }
 
 func TestShardedSingleShardConfigMatchesManager(t *testing.T) {
-	// Shards=1 must behave exactly like the single-store manager,
+	// Shards=1 runs every request as one transaction on its only shard,
 	// including §4 upgrade semantics (releases counted as available).
-	s, _ := newShardedT(t, ShardedConfig{Shards: 1})
+	s, _ := newShardedT(t, Config{Shards: 1})
 	mustPool(t, s, "w", 10)
 	old := grantQty(t, s, "c", Quantity("w", 10))
 	if !old.Accepted {

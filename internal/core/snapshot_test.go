@@ -26,7 +26,7 @@ import (
 // PromiseInfo, ActivePromises, Stats, Audit, PoolLevel, listings — still
 // completes, because none of them acquires a shard lock.
 func TestReadPathsCompleteUnderHeldWriteLocks(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{Shards: 4, Config: Config{DefaultDuration: time.Hour}})
+	s, _ := newShardedT(t, Config{Shards: 4, DefaultDuration: time.Hour})
 	mustPool(t, s, "lp", 100)
 	pr := grantQty(t, s, "c", Quantity("lp", 5))
 	if !pr.Accepted {
@@ -100,7 +100,7 @@ func TestReadPathsCompleteUnderHeldWriteLocks(t *testing.T) {
 // forever, the post-migration read shows the new placement, and at no
 // point does any reader observe a torn in-between.
 func TestSnapshotShowsPreOrPostMigrationNeverTorn(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{Shards: 4, Config: Config{DefaultDuration: time.Hour}})
+	s, _ := newShardedT(t, Config{Shards: 4, DefaultDuration: time.Hour})
 	x := nameOnShard(t, s, 0, "snap-x")
 	y := nameOnShard(t, s, 2, "snap-y")
 	for _, id := range []string{x, y} {
@@ -120,7 +120,7 @@ func TestSnapshotShowsPreOrPostMigrationNeverTorn(t *testing.T) {
 	if !ok {
 		t.Fatal("no owner shard")
 	}
-	preSnap := s.shards[preShard].m.Store().Snapshot()
+	preSnap := s.shards[preShard].store.Snapshot()
 
 	// Claiming the backing instance by name displaces the slot; the only
 	// alternative lives on another shard, so the sub-promise migrates.
@@ -142,7 +142,7 @@ func TestSnapshotShowsPreOrPostMigrationNeverTorn(t *testing.T) {
 	// The retained pre-migration snapshot is immutable: it still shows the
 	// promise on its old shard, backed by its old instance, even though
 	// the live world has moved on.
-	p, err := s.shards[preShard].m.promise(preSnap, prop.PromiseID)
+	p, err := s.shards[preShard].promise(preSnap, prop.PromiseID)
 	if err != nil {
 		t.Fatalf("pre-migration snapshot lost the promise: %v", err)
 	}
@@ -150,7 +150,7 @@ func TestSnapshotShowsPreOrPostMigrationNeverTorn(t *testing.T) {
 		t.Fatalf("pre snapshot assigned = %q, want %q", p.Assigned[0], pre.Assigned[0])
 	}
 	// And the vacated shard's fresh snapshot no longer has it.
-	if _, err := s.shards[preShard].m.promise(s.shards[preShard].m.Store().Snapshot(), prop.PromiseID); !errors.Is(err, ErrPromiseNotFound) {
+	if _, err := s.shards[preShard].promise(s.shards[preShard].store.Snapshot(), prop.PromiseID); !errors.Is(err, ErrPromiseNotFound) {
 		t.Fatalf("vacated shard still answers: %v", err)
 	}
 	mustHealthy(t, s)
@@ -161,7 +161,7 @@ func TestSnapshotShowsPreOrPostMigrationNeverTorn(t *testing.T) {
 // consistent answer (usable promise with intact shape, or a precise
 // lifecycle sentinel), never an internal error or a torn promise.
 func TestConcurrentReadersDuringMigrationChurn(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{Shards: 4, Config: Config{DefaultDuration: time.Hour}})
+	s, _ := newShardedT(t, Config{Shards: 4, DefaultDuration: time.Hour})
 	x := nameOnShard(t, s, 1, "churn-x")
 	y := nameOnShard(t, s, 3, "churn-y")
 	for _, id := range []string{x, y} {
@@ -252,7 +252,7 @@ func TestReplayRingConfigurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "rp", 100, nil)
+		return m.only().rm.CreatePool(tx, "rp", 100, nil)
 	})
 	for i := 0; i < 8; i++ {
 		grantOne(t, m, requestQuantity("c", "rp", 1))
@@ -308,11 +308,11 @@ func TestReplayRingConfigurable(t *testing.T) {
 func TestSnapshotEpochTracksBusSeq(t *testing.T) {
 	m, _ := newManager(t, Config{DefaultDuration: time.Hour})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "ep", 100, nil)
+		return m.only().rm.CreatePool(tx, "ep", 100, nil)
 	})
 	for i := 0; i < 3; i++ {
 		grantOne(t, m, requestQuantity("c", "ep", 1))
-		snap := m.Store().Snapshot()
+		snap := m.only().store.Snapshot()
 		if snap.Epoch() > m.bus.Seq() {
 			t.Fatalf("snapshot epoch %d ahead of bus seq %d", snap.Epoch(), m.bus.Seq())
 		}
@@ -321,9 +321,9 @@ func TestSnapshotEpochTracksBusSeq(t *testing.T) {
 	// published event (the grant commit publishes before its events, so
 	// the snapshot that reflects grant N carries epoch >= seq(N-1); the
 	// next commit catches up). Grant once more and check monotonicity.
-	before := m.Store().Snapshot().Epoch()
+	before := m.only().store.Snapshot().Epoch()
 	grantOne(t, m, requestQuantity("c", "ep", 1))
-	after := m.Store().Snapshot().Epoch()
+	after := m.only().store.Snapshot().Epoch()
 	if after < before {
 		t.Fatalf("epoch went backwards: %d -> %d", before, after)
 	}
@@ -336,7 +336,7 @@ func TestSnapshotEpochTracksBusSeq(t *testing.T) {
 // reserves only that shard — the other shards see no reservation traffic
 // at all — and the skip counter surfaces in Stats.
 func TestPrefilterSkewedPlacementSkipsShards(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{Shards: 8, Config: Config{DefaultDuration: time.Hour}})
+	s, _ := newShardedT(t, Config{Shards: 8, DefaultDuration: time.Hour})
 	host := 3
 	for i := 0; i < 6; i++ {
 		id := nameOnShard(t, s, host, fmt.Sprintf("skew-%d", i))
@@ -344,8 +344,8 @@ func TestPrefilterSkewedPlacementSkipsShards(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hostable, slots := s.shards[host].m.CandidateSummary(); hostable != 6 || slots != 0 {
-		t.Fatalf("host index before grants: hostable=%d slots=%d, want 6/0", hostable, slots)
+	if sum := s.shards[host].cand.summary.Load(); sum.Hostable != 6 || sum.Slots != 0 {
+		t.Fatalf("host index before grants: hostable=%d slots=%d, want 6/0", sum.Hostable, sum.Slots)
 	}
 	const grants = 4
 	var ids []string
@@ -358,8 +358,8 @@ func TestPrefilterSkewedPlacementSkipsShards(t *testing.T) {
 	}
 	// Tentatively-held instances stay hostable (the matcher may rearrange
 	// them); the slot count tracks the active property promises.
-	if hostable, slots := s.shards[host].m.CandidateSummary(); hostable != 6 || slots != grants {
-		t.Fatalf("host index after grants: hostable=%d slots=%d, want 6/%d", hostable, slots, grants)
+	if sum := s.shards[host].cand.summary.Load(); sum.Hostable != 6 || sum.Slots != grants {
+		t.Fatalf("host index after grants: hostable=%d slots=%d, want 6/%d", sum.Hostable, sum.Slots, grants)
 	}
 	st := s.Stats()
 	for _, shard := range st.PerShard {
@@ -388,7 +388,7 @@ func TestPrefilterSkewedPlacementSkipsShards(t *testing.T) {
 // shards whose hostable instances cannot satisfy the requested values are
 // skipped even though they are not empty.
 func TestPrefilterValuePruning(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{Shards: 4, Config: Config{DefaultDuration: time.Hour}})
+	s, _ := newShardedT(t, Config{Shards: 4, DefaultDuration: time.Hour})
 	// Shard 1 hosts tier=1 instances, shard 2 hosts tier=2 instances.
 	for i := 0; i < 2; i++ {
 		id := nameOnShard(t, s, 1, fmt.Sprintf("vp1-%d", i))
@@ -434,7 +434,7 @@ func (c noAlarmClock) Now() time.Time { return c.f.Now() }
 // past that instant.
 func TestPrefilterSeesThroughExpiredPins(t *testing.T) {
 	fake := clock.NewFake(time.Date(2007, 1, 7, 0, 0, 0, 0, time.UTC))
-	s, err := NewSharded(ShardedConfig{Shards: 4, Config: Config{Clock: noAlarmClock{f: fake}, DefaultDuration: time.Hour}})
+	s, err := New(Config{Shards: 4, Clock: noAlarmClock{f: fake}, DefaultDuration: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestPrefilterSeesThroughExpiredPins(t *testing.T) {
 // (Eval goes through Value.Equal, not Compare), so the value-pruning tier
 // must not exclude the shard holding such an instance.
 func TestPrefilterNeqKindMismatch(t *testing.T) {
-	s, _ := newShardedT(t, ShardedConfig{Shards: 4, Config: Config{DefaultDuration: time.Hour}})
+	s, _ := newShardedT(t, Config{Shards: 4, DefaultDuration: time.Hour})
 	inst := nameOnShard(t, s, 1, "neq")
 	// color is a string; the predicate compares it to an int literal.
 	if err := s.CreateInstance(inst, map[string]predicate.Value{"color": predicate.Str("blue")}); err != nil {
@@ -494,7 +494,7 @@ func TestPrefilterNeqKindMismatch(t *testing.T) {
 }
 
 // TestPrefilterEquivalence drives identical randomized property-heavy
-// workloads through two ShardedManagers — pre-filter enabled vs the
+// workloads through two Managers — pre-filter enabled vs the
 // all-shards path — across shard counts and seeds, asserting identical
 // accept/reject decisions, identical lifecycle sentinels and identical
 // pool levels. This is the executable form of the pre-filter's soundness
@@ -516,17 +516,12 @@ func runPrefilterEquivalence(t *testing.T, shards int, seed64 int64) {
 	// and the scan-based property planner (no index-served fast path).
 	// The "on" engine runs every optimisation; accept/reject decisions,
 	// lifecycle sentinels and pool levels must still be identical.
-	mkEngine := func(disable bool) *ShardedManager {
-		s, err := NewSharded(ShardedConfig{Shards: shards, Config: Config{Clock: fake, DefaultDuration: time.Hour}})
+	mkEngine := func(disable bool) *Manager {
+		s, err := New(Config{Shards: shards, Clock: fake, DefaultDuration: time.Hour, disableFastPath: disable})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.disablePrefilter = disable
-		if disable {
-			for _, sh := range s.shards {
-				sh.m.cfg.disableFastPath = true
-			}
-		}
 		return s
 	}
 	on, off := mkEngine(false), mkEngine(true)
@@ -541,7 +536,7 @@ func runPrefilterEquivalence(t *testing.T, shards int, seed64 int64) {
 	for i := 0; i < 3; i++ {
 		pool := fmt.Sprintf("pf-pool-%d", i)
 		capQty := int64(6 + rng.Intn(8))
-		for _, s := range []*ShardedManager{on, off} {
+		for _, s := range []*Manager{on, off} {
 			if err := s.CreatePool(pool, capQty, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -557,7 +552,7 @@ func runPrefilterEquivalence(t *testing.T, shards int, seed64 int64) {
 			"tier": predicate.Int(int64(rng.Intn(3))),
 			"zone": predicate.Int(int64(rng.Intn(4))),
 		}
-		for _, s := range []*ShardedManager{on, off} {
+		for _, s := range []*Manager{on, off} {
 			if err := s.CreateInstance(inst, props); err != nil {
 				t.Fatal(err)
 			}
@@ -619,12 +614,6 @@ func runPrefilterEquivalence(t *testing.T, shards int, seed64 int64) {
 			}
 		case 4: // expiry
 			fake.Advance(time.Duration(10+rng.Intn(30)) * time.Second)
-			if err := on.Sweep(); err != nil {
-				t.Fatal(err)
-			}
-			if err := off.Sweep(); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 

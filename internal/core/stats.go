@@ -50,26 +50,26 @@ type Stats struct {
 	ExpiryErrors int64
 	// Latency summarises Execute latency. Count is the true number of
 	// observations; percentiles come from bounded reservoir samples (exact
-	// until a reservoir fills). For a sharded manager the percentiles merge
-	// every shard's retained samples — see ShardedManager.Stats for the
-	// weighting caveat under heavy shard skew.
+	// until a reservoir fills). The percentiles merge every shard's
+	// retained samples — see Manager.Stats for the weighting caveat under
+	// heavy shard skew.
 	Latency metrics.Summary
 	// PerShard holds each shard's own counters and latency histogram
-	// summary, in shard order. Empty for the single-store Manager.
+	// summary, in shard order.
 	PerShard []ShardStat
 	// Imbalance is the shard-imbalance gauge: the busiest shard's request
 	// count divided by the mean per-shard request count. 1.0 means
 	// perfectly balanced load; N (the shard count) means one shard took
-	// everything. Zero when idle or unsharded.
+	// everything. Zero when idle.
 	Imbalance float64
 	// PrefilterSkipped counts shards that the candidate-index pre-filter
 	// excluded from cross-shard property reservations (each skipped shard
 	// is one reservation, one open transaction and one commit that never
-	// happened). Zero for the single-store Manager.
+	// happened). Zero at one shard.
 	PrefilterSkipped int64
 }
 
-// ShardStat is one shard's slice of a sharded manager's activity.
+// ShardStat is one shard's slice of a manager's activity.
 type ShardStat struct {
 	// Shard is the shard index.
 	Shard int
@@ -106,24 +106,8 @@ func (s Stats) String() string {
 	return out
 }
 
-// Stats returns a snapshot of the manager's counters.
-func (m *Manager) Stats() Stats {
-	return Stats{
-		Requests:     m.metrics.requests.Value(),
-		Grants:       m.metrics.grants.Value(),
-		Rejections:   m.metrics.rejections.Value(),
-		Releases:     m.metrics.releases.Value(),
-		Expirations:  m.metrics.expirations.Value(),
-		Preemptions:  m.metrics.preemptions.Value(),
-		Violations:   m.metrics.violations.Value(),
-		ActionErrors: m.metrics.actionErrors.Value(),
-		ExpiryErrors: m.metrics.expiryErrors.Value(),
-		Latency:      m.metrics.latency.Summarize(),
-	}
-}
-
 // observeExecute records one completed Execute call.
-func (m *Manager) observeExecute(start time.Time, resp *Response) {
+func (m *shard) observeExecute(start time.Time, resp *Response) {
 	m.metrics.requests.Inc()
 	m.metrics.latency.Observe(time.Since(start))
 	if resp == nil {

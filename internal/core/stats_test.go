@@ -11,7 +11,7 @@ import (
 func TestStatsCountOutcomes(t *testing.T) {
 	m, fake := newManager(t, Config{DefaultDuration: time.Minute})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 
 	// 1 grant, 1 rejection.
@@ -39,9 +39,6 @@ func TestStatsCountOutcomes(t *testing.T) {
 	}
 	// 1 expiration.
 	fake.Advance(2 * time.Minute)
-	if err := m.Sweep(); err != nil {
-		t.Fatal(err)
-	}
 
 	s := m.Stats()
 	if s.Grants != 2 || s.Rejections != 1 {
@@ -70,7 +67,7 @@ func TestStatsCountOutcomes(t *testing.T) {
 func TestStatsModifyCountsReleaseAndGrant(t *testing.T) {
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	pr := grantOne(t, m, requestQuantity("c", "p", 3))
 	_ = grantOne(t, m, Request{Client: "c", PromiseRequests: []PromiseRequest{{
@@ -88,7 +85,7 @@ func TestStatsViolationRollbackDoesNotCountRelease(t *testing.T) {
 	// release; the release counter must not tick.
 	m, _ := newManager(t, Config{})
 	seed(t, m, func(tx *txn.Tx) error {
-		return m.Resources().CreatePool(tx, "p", 10, nil)
+		return m.only().rm.CreatePool(tx, "p", 10, nil)
 	})
 	mine := grantOne(t, m, requestQuantity("me", "p", 2))
 	_ = grantOne(t, m, requestQuantity("other", "p", 8))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
@@ -11,7 +12,7 @@ import (
 // PROMISES_TEST_SHARDS environment variable when set (the CI matrix plumbs
 // {1, 8} through it, exercising both the degenerate single-shard
 // configuration and a wide one), else def. Tests whose scenario pins
-// resources to specific shard indices set ShardedConfig.Shards explicitly
+// resources to specific shard indices set Config.Shards explicitly
 // instead.
 func testShards(def int) int {
 	if v := os.Getenv("PROMISES_TEST_SHARDS"); v != "" {
@@ -39,4 +40,13 @@ func checkB(t testing.TB, e checkEngine, client string, ids []string) []error {
 		t.Fatalf("CheckBatch: %v", err)
 	}
 	return errs
+}
+
+// only returns the one shard of a single-shard engine, whose store and
+// resource manager the unit tests seed and inspect directly.
+func (m *Manager) only() *shard {
+	if len(m.shards) != 1 {
+		panic(fmt.Sprintf("only: engine has %d shards", len(m.shards)))
+	}
+	return m.shards[0]
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/matching"
 	"repro/internal/predicate"
-	"repro/internal/txn"
 )
 
 // RunE5 — promise-checking cost per view as the promise table grows.
@@ -56,15 +55,10 @@ func e5Named(n int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	tx := m.Store().Begin(txn.Block)
 	for i := 0; i < n+20; i++ {
-		if err := m.Resources().CreateInstance(tx, fmt.Sprintf("i%06d", i), nil); err != nil {
-			_ = tx.Abort()
+		if err := m.CreateInstance(fmt.Sprintf("i%06d", i), nil); err != nil {
 			return 0, err
 		}
-	}
-	if err := tx.Commit(); err != nil {
-		return 0, err
 	}
 	for i := 0; i < n; i++ {
 		resp, err := m.Execute(context.Background(), core.Request{Client: "seed", PromiseRequests: []core.PromiseRequest{{
@@ -104,16 +98,11 @@ func e5Property(n int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	tx := m.Store().Begin(txn.Block)
 	for i := 0; i < n+20; i++ {
 		props := map[string]predicate.Value{"slot": predicate.Int(int64(i))}
-		if err := m.Resources().CreateInstance(tx, fmt.Sprintf("r%06d", i), props); err != nil {
-			_ = tx.Abort()
+		if err := m.CreateInstance(fmt.Sprintf("r%06d", i), props); err != nil {
 			return 0, err
 		}
-	}
-	if err := tx.Commit(); err != nil {
-		return 0, err
 	}
 	for i := 0; i < n; i++ {
 		resp, err := m.Execute(context.Background(), core.Request{Client: "seed", PromiseRequests: []core.PromiseRequest{{
@@ -242,7 +231,6 @@ func e7Run(rooms, trials int, mode core.PropertyMode) (granted, offered int, err
 		if err != nil {
 			return 0, 0, err
 		}
-		tx := m.Store().Begin(txn.Block)
 		for i := 0; i < rooms; i++ {
 			props := map[string]predicate.Value{
 				// Every room has exactly one of the two features except
@@ -253,13 +241,9 @@ func e7Run(rooms, trials int, mode core.PropertyMode) (granted, offered int, err
 			if i == 0 {
 				props["floor"] = predicate.Int(5)
 			}
-			if err := m.Resources().CreateInstance(tx, fmt.Sprintf("room-%03d", i), props); err != nil {
-				_ = tx.Abort()
+			if err := m.CreateInstance(fmt.Sprintf("room-%03d", i), props); err != nil {
 				return 0, 0, err
 			}
-		}
-		if err := tx.Commit(); err != nil {
-			return 0, 0, err
 		}
 		preds := []string{"view = true", "floor = 5"}
 		for i := 0; i < rooms; i++ {

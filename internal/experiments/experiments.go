@@ -138,15 +138,10 @@ func newPromiseWorld(pools map[string]int64, cfg core.Config) (*core.Manager, er
 	if err != nil {
 		return nil, err
 	}
-	tx := m.Store().Begin(txn.Block)
 	for pool, qty := range pools {
-		if err := m.Resources().CreatePool(tx, pool, qty, nil); err != nil {
-			_ = tx.Abort()
+		if err := m.CreatePool(pool, qty, nil); err != nil {
 			return nil, err
 		}
-	}
-	if err := tx.Commit(); err != nil {
-		return nil, err
 	}
 	return m, nil
 }

@@ -184,17 +184,22 @@ func TestE10PiggybackSaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var saving string
+	rows := map[string]string{}
 	for _, row := range tbl.Rows {
-		if row[0] == "piggyback saving" {
-			saving = row[1]
-		}
+		rows[row[0]] = row[1]
 	}
+	saving := rows["piggyback saving"]
 	if saving == "" {
 		t.Fatal("no piggyback saving row")
 	}
 	if atof(t, saving) <= 0 {
 		t.Fatalf("E10 shape broken: piggyback saving %s", saving)
+	}
+	// The saving comes from the round trips: exactly two per separate
+	// purchase, one per piggybacked purchase.
+	sep, pig := rows["round trips per purchase, separate"], rows["round trips per purchase, piggybacked"]
+	if sep != "2.00" || pig != "1.00" {
+		t.Fatalf("round trips per purchase: separate %q, piggybacked %q, want 2.00 and 1.00", sep, pig)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/service"
 	"repro/internal/transport"
+	"repro/promises"
 )
 
 // RunE8 — atomic promise modification vs naive release-then-request.
@@ -153,13 +156,13 @@ func RunE9(quick bool) (*Table, error) {
 			}
 		}
 		// Final invariant: on-hand must cover the outstanding promise.
-		p, err := m.Resources().Pool(m.Store().Snapshot(), "stock")
+		onHand, err := m.PoolLevel("stock")
 		if err != nil {
 			return nil, err
 		}
 		invariant := "HELD"
-		if p.OnHand < 80 {
-			invariant = fmt.Sprintf("BROKEN (on hand %d < promised 80)", p.OnHand)
+		if onHand < 80 {
+			invariant = fmt.Sprintf("BROKEN (on hand %d < promised 80)", onHand)
 		}
 		mode := "enabled"
 		if disable {
@@ -228,7 +231,8 @@ func RunE10(quick bool) (*Table, error) {
 	service.RegisterStandard(reg)
 	srv := httptest.NewServer(transport.NewServer(m, reg).Handler())
 	defer srv.Close()
-	c := &transport.Client{BaseURL: srv.URL, Client: "c"}
+	trips := &countingTransport{next: http.DefaultTransport}
+	c := &transport.Client{BaseURL: srv.URL, Client: "c", HTTP: &http.Client{Transport: trips}}
 
 	grantIDs := make([]string, 0, 2*httpIters)
 	for i := 0; i < 2*httpIters; i++ {
@@ -239,35 +243,75 @@ func RunE10(quick bool) (*Table, error) {
 		grantIDs = append(grantIDs, pr.PromiseID)
 	}
 	// Separate: action message then release message (2 round trips).
-	start := time.Now()
-	for i := 0; i < httpIters; i++ {
-		id := grantIDs[i]
+	separateOnce := func(id string) error {
 		if _, err := c.Invoke(context.Background(), []core.EnvEntry{{PromiseID: id}}, "adjust-pool",
 			map[string]string{"pool": "w", "delta": "-1"}); err != nil {
-			return nil, err
+			return err
 		}
-		if err := c.Release(context.Background(), "", id); err != nil {
-			return nil, err
-		}
+		return c.Release(context.Background(), "", id)
 	}
-	separate := time.Since(start) / time.Duration(httpIters)
 	// Piggybacked: one message with release option set (1 round trip).
-	start = time.Now()
+	piggyOnce := func(id string) error {
+		_, err := c.Invoke(context.Background(), []core.EnvEntry{{PromiseID: id, Release: true}}, "adjust-pool",
+			map[string]string{"pool": "w", "delta": "-1"})
+		return err
+	}
+	// The two shapes alternate, each leading on every other iteration, so a
+	// slow period of the machine hits both alike; per-iteration medians
+	// then ignore the outliers a total would absorb.
+	var separate, piggy []time.Duration
+	var separateTrips, piggyTrips int64
+	timed := func(f func(string) error, id string, trips *countingTransport) (time.Duration, int64, error) {
+		before := trips.n.Load()
+		start := time.Now()
+		err := f(id)
+		return time.Since(start), trips.n.Load() - before, err
+	}
 	for i := 0; i < httpIters; i++ {
-		id := grantIDs[httpIters+i]
-		if _, err := c.Invoke(context.Background(), []core.EnvEntry{{PromiseID: id, Release: true}}, "adjust-pool",
-			map[string]string{"pool": "w", "delta": "-1"}); err != nil {
-			return nil, err
+		sepID, pigID := grantIDs[i], grantIDs[httpIters+i]
+		for k := 0; k < 2; k++ {
+			if (i+k)%2 == 0 {
+				d, n, err := timed(separateOnce, sepID, trips)
+				if err != nil {
+					return nil, err
+				}
+				separate, separateTrips = append(separate, d), separateTrips+n
+			} else {
+				d, n, err := timed(piggyOnce, pigID, trips)
+				if err != nil {
+					return nil, err
+				}
+				piggy, piggyTrips = append(piggy, d), piggyTrips+n
+			}
 		}
 	}
-	piggy := time.Since(start) / time.Duration(httpIters)
+	sepMed, pigMed := medianDuration(separate), medianDuration(piggy)
 	tbl.Rows = append(tbl.Rows,
-		[]string{"purchase+release, separate messages", separate.String()},
-		[]string{"purchase+release, piggybacked", piggy.String()},
-		[]string{"piggyback saving", fmt.Sprintf("%.1f%%", 100*(1-float64(piggy)/float64(separate)))},
+		[]string{"purchase+release, separate messages", sepMed.String()},
+		[]string{"purchase+release, piggybacked", pigMed.String()},
+		[]string{"piggyback saving", fmt.Sprintf("%.1f%%", 100*(1-float64(pigMed)/float64(sepMed)))},
+		[]string{"round trips per purchase, separate", fmt.Sprintf("%.2f", float64(separateTrips)/float64(httpIters))},
+		[]string{"round trips per purchase, piggybacked", fmt.Sprintf("%.2f", float64(piggyTrips)/float64(httpIters))},
 	)
-	tbl.Notes = "expected shape: piggybacked ≈ half the separate-message latency (one round trip instead of two)"
+	tbl.Notes = "expected shape: piggybacked ≈ half the separate-message latency (one round trip instead of two); latencies are per-iteration medians"
 	return tbl, nil
+}
+
+// countingTransport counts the HTTP round trips a client makes.
+type countingTransport struct {
+	next http.RoundTripper
+	n    atomic.Int64
+}
+
+func (t *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	t.n.Add(1)
+	return t.next.RoundTrip(req)
+}
+
+// medianDuration returns the median of ds (which it sorts).
+func medianDuration(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2]
 }
 
 // RunE11 — delegation chains. Claim (§5): promises can be backed by the
@@ -296,7 +340,7 @@ func RunE11(quick bool) (*Table, error) {
 			managers[i], err = newPromiseWorld(map[string]int64{"w": 0}, core.Config{
 				DefaultDuration: time.Hour,
 				Suppliers: map[string]core.Supplier{
-					"w": &core.ManagerSupplier{M: managers[i+1], Client: fmt.Sprintf("tier-%d", i)},
+					"w": &promises.EngineSupplier{E: managers[i+1], Client: fmt.Sprintf("tier-%d", i)},
 				},
 			})
 			if err != nil {
@@ -324,8 +368,9 @@ func RunE11(quick bool) (*Table, error) {
 			}
 		}
 		per := float64(time.Since(start).Microseconds()) / float64(k)
-		// Count upstream promise traffic at the deepest tier.
-		upstream := allPromiseCount(managers[depth])
+		// Count upstream promise traffic at the deepest tier: every grant
+		// there is one upstream promise.
+		upstream := managers[depth].Stats().Grants
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%d", depth),
 			fmt.Sprintf("%v", ok),
@@ -335,10 +380,4 @@ func RunE11(quick bool) (*Table, error) {
 	}
 	tbl.Notes = "expected shape: grants succeed at every depth; latency grows roughly linearly with depth"
 	return tbl, nil
-}
-
-// allPromiseCount counts every promise row (any state) in m's tables.
-func allPromiseCount(m *core.Manager) int {
-	snap := m.Store().Snapshot()
-	return snap.Len(core.TablePromises) + snap.Len(core.TablePromisesDone)
 }

@@ -19,7 +19,6 @@ import (
 	"repro/internal/predicate"
 	"repro/internal/service"
 	"repro/internal/transport"
-	"repro/internal/txn"
 	"repro/internal/workflow"
 	"repro/promises"
 )
@@ -30,18 +29,14 @@ type tier struct {
 	srv *httptest.Server
 }
 
-func newTier(t *testing.T, cfg core.Config, seed func(tx *txn.Tx, m *core.Manager) error) *tier {
+func newTier(t *testing.T, cfg core.Config, seed func(m *core.Manager) error) *tier {
 	t.Helper()
 	m, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seed != nil {
-		tx := m.Store().Begin(txn.Block)
-		if err := seed(tx, m); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
+		if err := seed(m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,23 +64,23 @@ func auditHealthy(t *testing.T, label string, m *core.Manager) {
 
 // TestThreeTierSupplyChainOverHTTP builds factory → wholesaler → retailer,
 // each in its own HTTP server, with delegation wired through
-// transport.RemoteSupplier. An order at the retailer for more than local
+// promises.EngineSupplier over a transport.Client. An order at the retailer for more than local
 // stock cascades upstream; fulfilment ships the backorder from the factory.
 func TestThreeTierSupplyChainOverHTTP(t *testing.T) {
-	factory := newTier(t, core.Config{}, func(tx *txn.Tx, m *core.Manager) error {
-		return m.Resources().CreatePool(tx, "widgets", 1000, nil)
+	factory := newTier(t, core.Config{}, func(m *core.Manager) error {
+		return m.CreatePool("widgets", 1000, nil)
 	})
-	factorySup := &transport.RemoteSupplier{C: factory.client("wholesaler")}
+	factorySup := &promises.EngineSupplier{E: factory.client("wholesaler"), Client: "wholesaler"}
 	wholesaler := newTier(t, core.Config{
 		Suppliers: map[string]core.Supplier{"widgets": factorySup},
-	}, func(tx *txn.Tx, m *core.Manager) error {
-		return m.Resources().CreatePool(tx, "widgets", 20, nil)
+	}, func(m *core.Manager) error {
+		return m.CreatePool("widgets", 20, nil)
 	})
-	wholesalerSup := &transport.RemoteSupplier{C: wholesaler.client("retailer")}
+	wholesalerSup := &promises.EngineSupplier{E: wholesaler.client("retailer"), Client: "retailer"}
 	retailer := newTier(t, core.Config{
 		Suppliers: map[string]core.Supplier{"widgets": wholesalerSup},
-	}, func(tx *txn.Tx, m *core.Manager) error {
-		return m.Resources().CreatePool(tx, "widgets", 5, nil)
+	}, func(m *core.Manager) error {
+		return m.CreatePool("widgets", 5, nil)
 	})
 
 	// Customer orders 30: retailer has 5, wholesaler 20, factory covers
@@ -136,8 +131,8 @@ func TestThreeTierSupplyChainOverHTTP(t *testing.T) {
 // TestWorkflowDrivenOrderOverHTTP runs the Figure 1 workflow with every
 // interaction crossing the wire.
 func TestWorkflowDrivenOrderOverHTTP(t *testing.T) {
-	shop := newTier(t, core.Config{}, func(tx *txn.Tx, m *core.Manager) error {
-		return m.Resources().CreatePool(tx, "widgets", 10, nil)
+	shop := newTier(t, core.Config{}, func(m *core.Manager) error {
+		return m.CreatePool("widgets", 10, nil)
 	})
 	c := shop.client("order-1")
 
@@ -191,14 +186,13 @@ func TestWorkflowDrivenOrderOverHTTP(t *testing.T) {
 // TestPropertyPredicatesOverWire sends §3.3 property expressions through
 // the XML protocol and checks tentative reallocation happens server-side.
 func TestPropertyPredicatesOverWire(t *testing.T) {
-	hotel := newTier(t, core.Config{}, func(tx *txn.Tx, m *core.Manager) error {
-		rm := m.Resources()
-		if err := rm.CreateInstance(tx, "room-316", map[string]predicate.Value{
+	hotel := newTier(t, core.Config{}, func(m *core.Manager) error {
+		if err := m.CreateInstance("room-316", map[string]predicate.Value{
 			"floor": predicate.Int(3), "view": predicate.Bool(true),
 		}); err != nil {
 			return err
 		}
-		return rm.CreateInstance(tx, "room-512", map[string]predicate.Value{
+		return m.CreateInstance("room-512", map[string]predicate.Value{
 			"floor": predicate.Int(5), "view": predicate.Bool(true),
 		})
 	})
@@ -234,8 +228,8 @@ func TestPropertyPredicatesOverWire(t *testing.T) {
 // it afterwards yields the promise-expired fault code across the wire.
 func TestExpiryOverHTTP(t *testing.T) {
 	fake := clock.NewFake(time.Date(2007, 1, 7, 0, 0, 0, 0, time.UTC))
-	shop := newTier(t, core.Config{Clock: fake}, func(tx *txn.Tx, m *core.Manager) error {
-		return m.Resources().CreatePool(tx, "widgets", 10, nil)
+	shop := newTier(t, core.Config{Clock: fake}, func(m *core.Manager) error {
+		return m.CreatePool("widgets", 10, nil)
 	})
 	c := shop.client("c")
 	pr, err := c.RequestPromise(bg, []core.Predicate{core.Quantity("widgets", 5)}, 30*time.Second)
@@ -258,8 +252,8 @@ func TestExpiryOverHTTP(t *testing.T) {
 // TestHTTPStampedeRespectsCapacity: 40 concurrent wire clients race for 25
 // units; exactly 25 single-unit promises are granted.
 func TestHTTPStampedeRespectsCapacity(t *testing.T) {
-	shop := newTier(t, core.Config{}, func(tx *txn.Tx, m *core.Manager) error {
-		return m.Resources().CreatePool(tx, "seats", 25, nil)
+	shop := newTier(t, core.Config{}, func(m *core.Manager) error {
+		return m.CreatePool("seats", 25, nil)
 	})
 	var granted atomic.Int64
 	var wg sync.WaitGroup
@@ -289,15 +283,12 @@ func TestHTTPStampedeRespectsCapacity(t *testing.T) {
 // contended manager: the picky client's wishes degrade until a counter
 // offer closes the deal.
 func TestFacadeNegotiationAgainstLiveContention(t *testing.T) {
-	m, err := promises.New(promises.Config{})
+	e, err := promises.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := m.Store().Begin(txn.Block)
-	if err := m.Resources().CreatePool(tx, "widgets", 20, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
+	m := e.(*promises.Manager)
+	if err := m.CreatePool("widgets", 20, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A rival promises 12, leaving 8.

@@ -5,8 +5,8 @@
 // preemptible — and asks Select for a victim set whose revocation makes the
 // request feasible.
 //
-// The selection contract, shared by every engine shape so the single-store,
-// sharded and clustered engines displace the same holds for the same
+// The selection contract, shared by every engine shape so one-shard,
+// many-shard and clustered engines displace the same holds for the same
 // workload:
 //
 //   - Cost is the victim count, and the returned set is inclusion-minimal:

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/resource"
-	"repro/internal/txn"
 )
 
 func newWorld(t *testing.T) (*Registry, *core.Manager) {
@@ -18,14 +17,10 @@ func newWorld(t *testing.T) (*Registry, *core.Manager) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := m.Store().Begin(txn.Block)
-	if err := m.Resources().CreatePool(tx, "w", 10, nil); err != nil {
+	if err := m.CreatePool("w", 10, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Resources().CreateInstance(tx, "i", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
+	if err := m.CreateInstance("i", nil); err != nil {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
@@ -109,31 +104,41 @@ func TestTakeAndReleaseInstance(t *testing.T) {
 	if err != nil || out != "i" {
 		t.Fatalf("take: %q %v", out, err)
 	}
-	tx := m.Store().Begin(txn.Block)
-	in, _ := m.Resources().Instance(tx, "i")
-	if in.Status != resource.Taken {
-		t.Fatalf("status = %v", in.Status)
+	if st := instanceStatus(t, m, "i"); st != resource.Taken {
+		t.Fatalf("status = %v", st)
 	}
-	_ = tx.Commit()
 	if _, err := invoke(t, reg, m, "release-instance", map[string]string{"instance": "i"}); err != nil {
 		t.Fatal(err)
 	}
-	tx = m.Store().Begin(txn.Block)
-	defer tx.Commit()
-	in, _ = m.Resources().Instance(tx, "i")
-	if in.Status != resource.Available {
-		t.Fatalf("status after release = %v", in.Status)
+	if st := instanceStatus(t, m, "i"); st != resource.Available {
+		t.Fatalf("status after release = %v", st)
 	}
 }
 
-// TestHandlersConcurrentOnShardedManager drives the standard handlers
-// through a sharded manager from many goroutines — the daemon's actual
+// instanceStatus reads one instance's status from the manager's listing.
+func instanceStatus(t *testing.T, m *core.Manager, id string) resource.Status {
+	t.Helper()
+	ins, err := m.Instances()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range ins {
+		if in.ID == id {
+			return in.Status
+		}
+	}
+	t.Fatalf("instance %s not found", id)
+	return 0
+}
+
+// TestHandlersConcurrentOnManager drives the standard handlers through a
+// four-shard manager from many goroutines — the daemon's actual
 // concurrent configuration. Each worker consumes stock from its own pool
 // under promise protection; final levels must account for every unit.
-func TestHandlersConcurrentOnShardedManager(t *testing.T) {
+func TestHandlersConcurrentOnManager(t *testing.T) {
 	const workers = 8
 	const iters = 40
-	s, err := core.NewSharded(core.ShardedConfig{Shards: 4})
+	s, err := core.New(core.Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,8 @@ type wireWorld struct {
 	t      *testing.T
 	rng    *rand.Rand
 	fake   *clock.Fake
-	local  *core.ShardedManager // driven directly
-	remote *core.ShardedManager // fronted by client; only swept/seeded directly
+	local  *core.Manager // driven directly
+	remote *core.Manager // fronted by client; only seeded directly
 	client *Client
 	pools  []string
 	insts  []string
@@ -67,14 +67,12 @@ func newWireWorld(t *testing.T, seed int64) *wireWorld {
 	fake := clock.NewFake(time.Date(2007, 1, 7, 0, 0, 0, 0, time.UTC))
 	reg := service.NewRegistry()
 	service.RegisterStandard(reg)
-	mk := func() *core.ShardedManager {
-		s, err := core.NewSharded(core.ShardedConfig{
-			Shards: 4,
-			Config: core.Config{
-				Clock:           fake,
-				DefaultDuration: time.Hour,
-				Actions:         reg,
-			},
+	mk := func() *core.Manager {
+		s, err := core.New(core.Config{
+			Shards:          4,
+			Clock:           fake,
+			DefaultDuration: time.Hour,
+			Actions:         reg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -99,7 +97,7 @@ func newWireWorld(t *testing.T, seed int64) *wireWorld {
 	for i := 0; i < 4; i++ {
 		pool := fmt.Sprintf("wire-pool-%d", i)
 		cap := int64(6 + w.rng.Intn(10))
-		for _, s := range []*core.ShardedManager{w.local, w.remote} {
+		for _, s := range []*core.Manager{w.local, w.remote} {
 			if err := s.CreatePool(pool, cap, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +111,7 @@ func newWireWorld(t *testing.T, seed int64) *wireWorld {
 			"tier": predicate.Int(int64(w.rng.Intn(3))),
 			"zone": predicate.Int(int64(w.rng.Intn(4))),
 		}
-		for _, s := range []*core.ShardedManager{w.local, w.remote} {
+		for _, s := range []*core.Manager{w.local, w.remote} {
 			if err := s.CreateInstance(inst, props); err != nil {
 				t.Fatal(err)
 			}
@@ -265,15 +263,10 @@ func (w *wireWorld) action() {
 	}
 }
 
-// advance moves the shared clock and sweeps both engines.
+// advance moves the shared clock; its alarms expire the same promises on
+// both engines before Advance returns.
 func (w *wireWorld) advance() {
 	w.fake.Advance(time.Duration(30+w.rng.Intn(90)) * time.Second)
-	if err := w.local.Sweep(); err != nil {
-		w.t.Fatal(err)
-	}
-	if err := w.remote.Sweep(); err != nil {
-		w.t.Fatal(err)
-	}
 }
 
 // verify cross-checks every tracked pair's sentinel through CheckBatch on
@@ -329,7 +322,7 @@ func (w *wireWorld) run(iters int) {
 		}
 	}
 	w.verify()
-	for _, s := range []*core.ShardedManager{w.local, w.remote} {
+	for _, s := range []*core.Manager{w.local, w.remote} {
 		rep, err := s.Audit()
 		if err != nil {
 			w.t.Fatal(err)

@@ -17,9 +17,9 @@ import (
 // SummaryEndpoint serves the node's federation candidate summary as JSON.
 const SummaryEndpoint = "/cluster/summary"
 
-// FedEngine is the node-side federation surface. core.ShardedManager
-// implements it; single-store managers do not, and a server wrapping one
-// answers federation traffic with a not-found fault.
+// FedEngine is the node-side federation surface. core.Manager implements
+// it; other engines do not, and a server wrapping one answers federation
+// traffic with a not-found fault.
 type FedEngine interface {
 	FedReserve(ctx context.Context, client string, spec core.FedReserveSpec) (*core.FedReserveResult, error)
 	FedConfirm(ctx context.Context, sessionID string, spec core.FedConfirmSpec) ([]core.GrantedPart, error)
@@ -27,7 +27,7 @@ type FedEngine interface {
 	FedSummary() core.NodeSummary
 }
 
-var _ FedEngine = (*core.ShardedManager)(nil)
+var _ FedEngine = (*core.Manager)(nil)
 
 // fedEngine resolves the manager's federation surface, or nil.
 func (s *Server) fedEngine() FedEngine {

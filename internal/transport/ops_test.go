@@ -11,19 +11,14 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/txn"
 )
 
-// newOpsWorld serves a single-store engine with one seeded pool and the
+// newOpsWorld serves a one-shard engine with one seeded pool and the
 // standard actions.
 func newOpsWorld(t *testing.T) (*httptest.Server, *core.Manager, *Client) {
 	t.Helper()
 	srv, m := newTestServer(t, func(m *core.Manager) error {
-		tx := m.Store().Begin(txn.Block)
-		if err := m.Resources().CreatePool(tx, "w", 20, nil); err != nil {
-			return err
-		}
-		return tx.Commit()
+		return seedPool(m, "w", 20)
 	})
 	return srv, m, &Client{BaseURL: srv.URL, Client: "ops"}
 }

@@ -9,9 +9,8 @@
 // Client implements the same context-first Engine surface as the in-process
 // managers (promises.Engine), so an application, supplier chain or tool
 // written against that interface runs unchanged whether its promise maker
-// is a local store or a remote daemon. The package also provides
-// RemoteSupplier, a core.Supplier backed by a Client, so delegation chains
-// (§5) span processes.
+// is a local store or a remote daemon; wrapped in promises.EngineSupplier,
+// a Client backs delegation chains (§5) that span processes.
 package transport
 
 import (
@@ -27,7 +26,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -47,10 +45,10 @@ const Endpoint = "/promises"
 const FaultHeader = "X-Promise-Fault"
 
 // Engine is the manager-side surface the transport serves and the Client
-// re-exposes — the same method set as promises.Engine. Both the
-// single-store core.Manager and the sharded core.ShardedManager implement
-// it, so a daemon picks its concurrency model at construction time without
-// the transport caring.
+// re-exposes — the same method set as promises.Engine. core.Manager
+// implements it at any shard count, and so does the cluster engine, so a
+// daemon picks its deployment shape at construction time without the
+// transport caring.
 type Engine interface {
 	Execute(ctx context.Context, req core.Request) (*core.Response, error)
 	GrantBatch(ctx context.Context, client string, reqs []core.PromiseRequest) ([]core.PromiseResponse, error)
@@ -377,8 +375,8 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 }
 
 // bindAction resolves a wire action against the registry and attaches it to
-// req, surfacing the named resources so a sharded engine routes the action
-// to the owning shard (the single-store engine ignores Resources).
+// req, surfacing the named resources so the engine routes the action to the
+// shard owning them.
 func (s *Server) bindAction(req *core.Request, wa *protocol.WireAction) error {
 	handler, err := s.registry.Resolve(wa.Name)
 	if err != nil {
@@ -1084,68 +1082,4 @@ func (c *Client) Invoke(ctx context.Context, env []core.EnvEntry, name string, p
 	}
 	s, _ := resp.ActionResult.(string)
 	return s, nil
-}
-
-// RemoteSupplier adapts a Client into a core.Supplier so a local manager
-// can delegate shortfalls to a remote one (§5) — the cross-process version
-// of core.ManagerSupplier. It remembers which pool each upstream promise
-// covers, because the wire protocol (like §6) has no promise introspection.
-//
-// Deprecated: promises.EngineSupplier fronts any Engine — including this
-// package's Client — with the same bookkeeping; it cannot live here only
-// because transport must not import the facade. New code should use it.
-type RemoteSupplier struct {
-	C *Client
-
-	mu    sync.Mutex
-	pools map[string]string // upstream promise id -> pool
-}
-
-// RequestPromise implements core.Supplier.
-func (s *RemoteSupplier) RequestPromise(ctx context.Context, pool string, qty int64, d time.Duration) (string, error) {
-	pr, err := s.C.RequestPromise(ctx, []core.Predicate{core.Quantity(pool, qty)}, d)
-	if err != nil {
-		return "", err
-	}
-	if !pr.Accepted {
-		return "", fmt.Errorf("transport: upstream rejected %d of %q: %s", qty, pool, pr.Reason)
-	}
-	s.mu.Lock()
-	if s.pools == nil {
-		s.pools = make(map[string]string)
-	}
-	s.pools[pr.PromiseID] = pool
-	s.mu.Unlock()
-	return pr.PromiseID, nil
-}
-
-// ReleasePromise implements core.Supplier.
-func (s *RemoteSupplier) ReleasePromise(ctx context.Context, id string) error {
-	s.mu.Lock()
-	delete(s.pools, id)
-	s.mu.Unlock()
-	return s.C.Release(ctx, "", id)
-}
-
-// ConsumePromise implements core.Supplier via the standard adjust-pool
-// action; the server must have service.RegisterStandard handlers installed.
-func (s *RemoteSupplier) ConsumePromise(ctx context.Context, id string, qty int64) error {
-	s.mu.Lock()
-	pool, ok := s.pools[id]
-	delete(s.pools, id)
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("transport: unknown upstream promise %q", id)
-	}
-	res, err := s.C.Exchange(ctx, nil, []core.EnvEntry{{PromiseID: id, Release: true}}, &protocol.WireAction{
-		Name: "adjust-pool",
-		Params: []protocol.Param{
-			{Name: "pool", Value: pool},
-			{Name: "delta", Value: fmt.Sprintf("-%d", qty)},
-		},
-	})
-	if err != nil {
-		return err
-	}
-	return res.ActionErr
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/protocol"
 	"repro/internal/service"
-	"repro/internal/txn"
 )
 
 // newTestServer spins up a full Figure 2 deployment: PM + App + RM behind
@@ -38,12 +37,7 @@ func newTestServer(t *testing.T, seedFn func(m *core.Manager) error) (*httptest.
 }
 
 func seedPool(m *core.Manager, pool string, qty int64) error {
-	tx := m.Store().Begin(txn.Block)
-	if err := m.Resources().CreatePool(tx, pool, qty, nil); err != nil {
-		_ = tx.Abort()
-		return err
-	}
-	return tx.Commit()
+	return m.CreatePool(pool, qty, nil)
 }
 
 func TestEndToEndFigure1OverHTTP(t *testing.T) {
@@ -175,83 +169,6 @@ func TestMalformedEnvelopeIsBadRequest(t *testing.T) {
 	}
 }
 
-func TestRemoteSupplierDelegationChain(t *testing.T) {
-	// Distributor server; merchant manager delegates to it over HTTP (E11).
-	distSrv, distM := newTestServer(t, func(m *core.Manager) error {
-		return seedPool(m, "widgets", 10)
-	})
-	sup := &RemoteSupplier{C: &Client{BaseURL: distSrv.URL, Client: "merchant"}}
-	merchant, err := core.New(core.Config{
-		Suppliers: map[string]core.Supplier{"widgets": sup},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seedPool(merchant, "widgets", 3); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := merchant.Execute(bg, core.Request{
-		Client: "customer",
-		PromiseRequests: []core.PromiseRequest{{
-			Predicates: []core.Predicate{core.Quantity("widgets", 8)},
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := resp.Promises[0]
-	if !pr.Accepted {
-		t.Fatalf("delegated grant over HTTP rejected: %s", pr.Reason)
-	}
-	info, _ := merchant.PromiseInfo(pr.PromiseID)
-	if info.DelegatedQty[0] != 5 {
-		t.Fatalf("delegated qty = %d", info.DelegatedQty[0])
-	}
-	// The distributor holds the upstream promise.
-	up, err := distM.PromiseInfo(info.DelegatedID[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up.State != core.Active {
-		t.Fatalf("upstream state = %v", up.State)
-	}
-	// Release propagates over HTTP.
-	if _, err := merchant.Execute(bg, core.Request{
-		Client: "customer",
-		Env:    []core.EnvEntry{{PromiseID: pr.PromiseID, Release: true}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	up, _ = distM.PromiseInfo(info.DelegatedID[0])
-	if up.State != core.Released {
-		t.Fatalf("upstream after release = %v", up.State)
-	}
-}
-
-func TestRemoteSupplierConsume(t *testing.T) {
-	distSrv, distM := newTestServer(t, func(m *core.Manager) error {
-		return seedPool(m, "w", 10)
-	})
-	sup := &RemoteSupplier{C: &Client{BaseURL: distSrv.URL, Client: "m"}}
-	id, err := sup.RequestPromise(bg, "w", 4, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.ConsumePromise(bg, id, 4); err != nil {
-		t.Fatal(err)
-	}
-	tx := distM.Store().Begin(txn.Block)
-	defer tx.Commit()
-	p, _ := distM.Resources().Pool(tx, "w")
-	if p.OnHand != 6 {
-		t.Fatalf("on hand = %d", p.OnHand)
-	}
-	if err := sup.ConsumePromise(bg, "up-unknown", 1); err == nil {
-		t.Fatal("unknown upstream promise consumed")
-	}
-}
-
 func TestOpsEndpoints(t *testing.T) {
 	srv, _ := newTestServer(t, func(m *core.Manager) error {
 		return seedPool(m, "w", 10)
@@ -312,7 +229,7 @@ func TestPiggybackedGrantAndAction(t *testing.T) {
 func TestShardedServerConcurrentClients(t *testing.T) {
 	const workers = 8
 	const iters = 25
-	s, err := core.NewSharded(core.ShardedConfig{Shards: 4, Config: core.Config{DefaultDuration: time.Hour}})
+	s, err := core.New(core.Config{Shards: 4, DefaultDuration: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +349,7 @@ func TestBatchOverHTTP(t *testing.T) {
 func TestBatchOverHTTPSharded(t *testing.T) {
 	// The same envelope against a sharded engine: cross-shard batch entries
 	// come back as composite promises and check correctly.
-	s, err := core.NewSharded(core.ShardedConfig{Shards: 4, Config: core.Config{DefaultDuration: time.Hour}})
+	s, err := core.New(core.Config{Shards: 4, DefaultDuration: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,10 @@ import (
 
 // Engine is the unified, context-first surface of a promise maker (§2) —
 // the one interface applications, suppliers and tools are written against,
-// whether the maker is an in-process single store, an in-process sharded
-// store, or a remote daemon reached over the §6 wire protocol:
+// whether the maker is an in-process store or a remote daemon reached over
+// the §6 wire protocol:
 //
-//   - *Manager (promises.Open, single store) implements Engine;
-//   - *ShardedManager (promises.Open with WithShards(n > 1)) implements
-//     Engine;
+//   - *Manager (promises.Open, at any WithShards count) implements Engine;
 //   - the remote client (promises.Open with WithRemote(url)) implements
 //     Engine;
 //   - the federated cluster engine (promises.Open with WithCluster(nodes))
@@ -72,17 +70,16 @@ type Engine interface {
 	Close() error
 }
 
-// The four engine implementations, pinned at compile time.
+// The three engine implementations, pinned at compile time.
 var (
 	_ Engine = (*core.Manager)(nil)
-	_ Engine = (*core.ShardedManager)(nil)
 	_ Engine = (*transport.Client)(nil)
 	_ Engine = (*cluster.Engine)(nil)
 )
 
 // EngineSupplier adapts any Engine into a Supplier, so a delegation chain
-// (§5) hangs off a local store, a sharded store or a remote daemon with
-// zero call-site changes — the engine handed in is the only difference.
+// (§5) hangs off a local store or a remote daemon with zero call-site
+// changes — the engine handed in is the only difference.
 // It remembers which pool each upstream promise covers; ConsumePromise
 // fulfils through the standard "adjust-pool" action, which the upstream
 // engine must resolve (a daemon's standard handlers, or an engine opened

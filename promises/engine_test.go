@@ -263,6 +263,48 @@ func promisesSeederLevel(eng promises.Engine, pool string) (int64, error) {
 	return seeder.PoolLevel(pool)
 }
 
+// TestEngineSupplierDelegationChain delegates a merchant's shortfall to a
+// distributor daemon over HTTP: the distributor holds the upstream promise
+// while the merchant's grant stands, and releasing the grant releases it.
+func TestEngineSupplierDelegationChain(t *testing.T) {
+	distributor := openLocal(t, "widgets", 10)
+	sup := &promises.EngineSupplier{E: serveEngine(t, distributor, "merchant"), Client: "merchant"}
+	merchant := openLocal(t, "widgets", 3, promises.WithSuppliers(map[string]promises.Supplier{"widgets": sup}))
+	resp, err := merchant.Execute(bg, promises.Request{
+		Client: "customer",
+		PromiseRequests: []promises.PromiseRequest{{
+			Predicates: []promises.Predicate{promises.Quantity("widgets", 8)},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := resp.Promises[0]
+	if !pr.Accepted {
+		t.Fatalf("delegated grant over HTTP rejected: %s", pr.Reason)
+	}
+	info, err := merchant.(inspector).PromiseInfo(pr.PromiseID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.DelegatedQty[0] != 5 {
+		t.Fatalf("delegated qty = %d, want 5", info.DelegatedQty[0])
+	}
+	up, err := distributor.(inspector).PromiseInfo(info.DelegatedID[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.State != promises.Active {
+		t.Fatalf("upstream state = %v, want active", up.State)
+	}
+	if err := merchant.Release(bg, "customer", pr.PromiseID); err != nil {
+		t.Fatal(err)
+	}
+	if up, _ = distributor.(inspector).PromiseInfo(info.DelegatedID[0]); up.State != promises.Released {
+		t.Fatalf("upstream after release = %v, want released", up.State)
+	}
+}
+
 // TestEngineCancelledContext: the Engine contract's cancellation promise at
 // the facade level — a dead context reaches no engine shape.
 func TestEngineCancelledContext(t *testing.T) {

@@ -6,29 +6,24 @@ import (
 	"time"
 
 	"repro/internal/predicate"
-	"repro/internal/txn"
 	"repro/promises"
 )
 
 func seedHotelAndStock(t *testing.T) *promises.Manager {
 	t.Helper()
-	m, err := promises.New(promises.Config{})
+	e, err := promises.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := m.Store().Begin(txn.Block)
-	rm := m.Resources()
-	if err := rm.CreatePool(tx, "widgets", 10, nil); err != nil {
+	m := e.(*promises.Manager)
+	if err := m.CreatePool("widgets", 10, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := rm.CreateInstance(tx, "room-7", map[string]predicate.Value{
+	if err := m.CreateInstance("room-7", map[string]predicate.Value{
 		"smoking": predicate.Bool(false),
 		"view":    predicate.Bool(false),
 		"beds":    predicate.Str("twin"),
 	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	return m

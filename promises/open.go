@@ -13,7 +13,7 @@ import (
 )
 
 // options collects everything Open can configure; the zero value is a
-// self-contained single-store engine.
+// self-contained one-shard engine.
 type options struct {
 	shards          int
 	clk             clock.Clock
@@ -57,7 +57,8 @@ type Option func(*options)
 
 // WithShards stripes the engine's state across n independent shards so
 // concurrent clients on different resources proceed in parallel. n <= 1
-// yields the single-store §8 reference engine. Local engines only.
+// (the default) yields one shard, the §8 reference configuration. Local
+// engines only.
 func WithShards(n int) Option { return func(o *options) { o.shards = n } }
 
 // WithClock drives promise expiry from the given clock — tests and
@@ -163,8 +164,8 @@ func WithRemote(url string) Option { return func(o *options) { o.remoteURL = url
 // WithNodeID names this engine as a cluster member: promise ids are
 // namespaced "<id>!…" so ids issued by different nodes never collide and
 // self-describe their issuing node (how the cluster layer routes checks
-// and releases). Forces the sharded engine even at one shard. The id must
-// stay stable across restarts of a durable node. Local engines only.
+// and releases). The id must stay stable across restarts of a durable
+// node. Local engines only.
 func WithNodeID(id string) Option { return func(o *options) { o.nodeID = id } }
 
 // WithCluster makes Open return a federated engine over the promised
@@ -191,13 +192,10 @@ func WithClientID(id string) Option { return func(o *options) { o.clientID = id 
 func WithHTTPClient(h *http.Client) Option { return func(o *options) { o.httpClient = h } }
 
 // Open builds a promise engine. With no options it is a self-contained
-// single-store manager (fresh store and resource manager); WithShards(n)
-// stripes state across n shards; WithRemote(url) returns a wire client for
-// a running daemon. All three satisfy Engine, so everything downstream of
-// Open is deployment-agnostic.
-//
-// Open replaces the former Config/ShardedConfig constructors; New and
-// NewSharded remain as deprecated shims over the same machinery.
+// one-shard *Manager; WithShards(n) stripes state across n shards;
+// WithRemote(url) returns a wire client for a running daemon, and
+// WithCluster(nodes) a federated engine over several. All of them satisfy
+// Engine, so everything downstream of Open is deployment-agnostic.
 func Open(opts ...Option) (Engine, error) {
 	var o options
 	for _, opt := range opts {
@@ -239,9 +237,11 @@ func Open(opts ...Option) (Engine, error) {
 	if o.dataDir == "" && (o.syncPolicySet || o.syncEvery != 0 || o.checkpointEvery != 0 || o.reprobeEvery != 0) {
 		return nil, fmt.Errorf("promises: sync, checkpoint, and reprobe options require WithDataDir")
 	}
-	// One engine config serves all four local shapes, so every local option
+	// One engine config serves every local shape, so every local option
 	// reaches every engine path.
 	cfg := core.Config{
+		Shards:          o.shards,
+		IDNamespace:     o.nodeID,
 		Clock:           o.clk,
 		DefaultDuration: o.defaultDuration,
 		MaxDuration:     o.maxDuration,
@@ -252,8 +252,6 @@ func Open(opts ...Option) (Engine, error) {
 		ReplayRing:      o.replayRing,
 		DefaultPriority: o.defaultPriority,
 	}
-	sharded := o.shards > 1 || o.nodeID != ""
-	scfg := core.ShardedConfig{Config: cfg, Shards: max(o.shards, 1), IDNamespace: o.nodeID}
 	if o.dataDir != "" {
 		dur := core.DurabilityOptions{
 			Dir:             o.dataDir,
@@ -262,31 +260,22 @@ func Open(opts ...Option) (Engine, error) {
 			CheckpointEvery: o.checkpointEvery,
 			ReprobeEvery:    o.reprobeEvery,
 		}
-		if sharded {
-			return core.OpenDurableSharded(scfg, dur)
-		}
 		return core.OpenDurable(cfg, dur)
-	}
-	if sharded {
-		return core.NewSharded(scfg)
 	}
 	return core.New(cfg)
 }
 
-// Seeder is the resource-seeding surface of the local engines: both
-// *Manager and *ShardedManager implement it, so setup code can feed pools
-// and instances to whatever Open returned. Remote engines do not seed —
-// the daemon owns its resources (use its -seed/-seed-file flags).
+// Seeder is the resource-seeding surface of the local engine: *Manager
+// implements it, so setup code can feed pools and instances to whatever
+// Open returned. Remote engines do not seed — the daemon owns its
+// resources (use its -seed/-seed-file flags).
 type Seeder interface {
 	CreatePool(id string, onHand int64, props map[string]Value) error
 	CreateInstance(id string, props map[string]Value) error
 	PoolLevel(pool string) (int64, error)
 }
 
-var (
-	_ Seeder = (*core.Manager)(nil)
-	_ Seeder = (*core.ShardedManager)(nil)
-)
+var _ Seeder = (*core.Manager)(nil)
 
 // Seed type-asserts an Engine to its seeding surface, failing with a clear
 // error for remote engines.

@@ -1,5 +1,5 @@
-// Re-exports, predicate builders and deprecated constructor shims; the
-// package documentation lives in doc.go.
+// Re-exports and predicate builders; the package documentation lives in
+// doc.go.
 
 package promises
 
@@ -12,19 +12,10 @@ import (
 // Re-exported core types. The library's behaviour is documented on the
 // originals in repro/internal/core.
 type (
-	// Manager is the promise manager (§2, §8).
+	// Manager is the local promise manager (§2, §8) that Open builds: its
+	// state is striped across WithShards(n) shards for concurrent
+	// throughput; see core.Manager.
 	Manager = core.Manager
-	// Config configures a Manager.
-	//
-	// Deprecated: use Open with Options.
-	Config = core.Config
-	// ShardedManager stripes promise, escrow and soft-lock state across N
-	// shards for concurrent throughput; see core.ShardedManager.
-	ShardedManager = core.ShardedManager
-	// ShardedConfig configures a ShardedManager.
-	//
-	// Deprecated: use Open with WithShards.
-	ShardedConfig = core.ShardedConfig
 	// Request is one client message (§6).
 	Request = core.Request
 	// Response is the manager's reply.
@@ -52,10 +43,6 @@ type (
 	ActionContext = core.ActionContext
 	// Supplier is an upstream promise maker for delegation (§5).
 	Supplier = core.Supplier
-	// ManagerSupplier adapts a local Manager into a Supplier.
-	//
-	// Deprecated: use EngineSupplier, which fronts any Engine.
-	ManagerSupplier = core.ManagerSupplier
 	// View is a resource view (§3).
 	View = core.View
 	// State is a promise lifecycle state.
@@ -72,7 +59,7 @@ type (
 	SlowPolicy = core.SlowPolicy
 	// Stats is a snapshot of manager activity counters.
 	Stats = core.Stats
-	// ShardStat is one shard's slice of a sharded manager's Stats.
+	// ShardStat is one shard's slice of a Manager's Stats.
 	ShardStat = core.ShardStat
 	// AuditReport summarises a consistency audit (Engine.Audit).
 	AuditReport = core.AuditReport
@@ -127,21 +114,6 @@ var (
 	ErrPromisePreempted = core.ErrPromisePreempted
 	ErrBadRequest       = core.ErrBadRequest
 )
-
-// New creates a Manager. A zero Config builds a self-contained manager
-// with a fresh store and resource manager.
-//
-// Deprecated: use Open, which returns the unified Engine surface; New
-// remains for callers that need the concrete *Manager.
-func New(cfg Config) (*Manager, error) { return core.New(cfg) }
-
-// NewSharded creates a ShardedManager: a promise manager whose state is
-// striped across cfg.Shards independent shards (default 8) so concurrent
-// clients on different resources proceed in parallel.
-//
-// Deprecated: use Open with WithShards; NewSharded remains for callers
-// that need the concrete *ShardedManager.
-func NewSharded(cfg ShardedConfig) (*ShardedManager, error) { return core.NewSharded(cfg) }
 
 // Quantity builds an anonymous-view predicate (§3.1): qty units of pool
 // must remain available.

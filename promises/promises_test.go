@@ -2,25 +2,20 @@ package promises_test
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/txn"
 	"repro/promises"
 )
 
 func newSeeded(t *testing.T) *promises.Manager {
 	t.Helper()
-	m, err := promises.New(promises.Config{})
+	e, err := promises.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := m.Store().Begin(txn.Block)
-	if err := m.Resources().CreatePool(tx, "pink-widgets", 10, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
+	m := e.(*promises.Manager)
+	if err := m.CreatePool("pink-widgets", 10, nil); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -102,35 +97,4 @@ func TestFacadeClocks(t *testing.T) {
 	if promises.SystemClock().Now().IsZero() {
 		t.Fatal("system clock zero")
 	}
-}
-
-// ExampleNew demonstrates the Figure 1 ordering flow through the public
-// API.
-func ExampleNew() {
-	m, _ := promises.New(promises.Config{})
-	tx := m.Store().Begin(txn.Block)
-	_ = m.Resources().CreatePool(tx, "pink-widgets", 10, nil)
-	_ = tx.Commit()
-
-	resp, _ := m.Execute(bg, promises.Request{
-		Client: "order-process",
-		PromiseRequests: []promises.PromiseRequest{{
-			Predicates: []promises.Predicate{promises.Quantity("pink-widgets", 5)},
-		}},
-	})
-	pr := resp.Promises[0]
-	fmt.Println("accepted:", pr.Accepted)
-
-	resp, _ = m.Execute(bg, promises.Request{
-		Client: "order-process",
-		Env:    []promises.EnvEntry{{PromiseID: pr.PromiseID, Release: true}},
-		Action: func(ac *promises.ActionContext) (any, error) {
-			level, err := ac.Resources.AdjustPool(ac.Tx, "pink-widgets", -5)
-			return level, err
-		},
-	})
-	fmt.Println("stock after purchase:", resp.ActionResult)
-	// Output:
-	// accepted: true
-	// stock after purchase: 5
 }
