@@ -19,7 +19,14 @@ var bg = context.Background()
 // newSim builds a 3-node simulated cluster and its federated engine.
 func newSim(t *testing.T, mode core.PropertyMode) (*simulator.Cluster, *cluster.Engine) {
 	t.Helper()
-	sim, err := simulator.New(simulator.Config{Nodes: []string{"n0", "n1", "n2"}, Mode: mode})
+	return newSimShards(t, mode, 0)
+}
+
+// newSimShards is newSim with an explicit per-node shard count (0 keeps
+// the simulator's default).
+func newSimShards(t *testing.T, mode core.PropertyMode, shards int) (*simulator.Cluster, *cluster.Engine) {
+	t.Helper()
+	sim, err := simulator.New(simulator.Config{Nodes: []string{"n0", "n1", "n2"}, Mode: mode, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

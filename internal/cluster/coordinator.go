@@ -385,7 +385,7 @@ func (c *Coordinator) Drain(ctx context.Context, src string) (stranded int, err 
 				if used[cand.Instance] || cand.Tentative {
 					continue
 				}
-				sat, eerr := predicate.Eval(exprs[sl.Expr], candEnv(cand))
+				sat, eerr := predicate.Eval(exprs[sl.Expr], candInstance(cand).Env())
 				if eerr != nil || !sat {
 					continue
 				}
@@ -394,12 +394,14 @@ func (c *Coordinator) Drain(ctx context.Context, src string) (stranded int, err 
 					specs[d.id] = &core.FedConfirmSpec{}
 				}
 				specs[d.id].MigrateIn = append(specs[d.id].MigrateIn, core.FedMigrateIn{
-					ID:       pid,
-					Client:   sl.Client,
-					Expr:     sl.Expr,
-					Expires:  sl.Expires,
-					Instance: cand.Instance,
-					FromNode: src,
+					ID:          pid,
+					Client:      sl.Client,
+					Expr:        sl.Expr,
+					Expires:     sl.Expires,
+					Instance:    cand.Instance,
+					FromNode:    src,
+					Priority:    sl.Priority,
+					Preemptible: sl.Preemptible,
 				})
 				srcSpec.MigrateOut = append(srcSpec.MigrateOut, pid)
 				placed = append(placed, MigrationRecord{Time: now, Promise: pid, From: src, To: d.id})

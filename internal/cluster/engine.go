@@ -12,6 +12,8 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/predicate"
+	"repro/internal/resource"
 )
 
 // CompositePrefix marks a cluster-composite promise id: a multi-node grant
@@ -458,12 +460,9 @@ func (e *Engine) tryFed(ctx context.Context, client string, pr core.PromiseReque
 	// that keeps concurrent federated grants deadlock-free (each node's
 	// TTL is the backstop for a caller that dies mid-pipeline).
 	sessions := make(map[string]string)
-	ctxs := make([]nodeContext, 0, len(nodeOrder))
 	grantedByNode := make(map[string][]core.GrantedPart)
-	var floating []floatRef
-	for _, i := range propIdx {
-		floating = append(floating, floatRef{idx: i})
-	}
+	var in jointInput
+	floatIdx := append([]int(nil), propIdx...)
 	abortAll := func() {
 		for n, sid := range sessions {
 			_ = e.ports[n].FedAbort(context.WithoutCancel(ctx), sid)
@@ -511,10 +510,11 @@ func (e *Engine) tryFed(ctx context.Context, client string, pr core.PromiseReque
 		}
 		sessions[n] = res.SessionID
 		grantedByNode[n] = res.Granted
-		ctxs = append(ctxs, nodeContext{node: n, fc: res.Context})
-		for _, d := range res.Deferred {
-			floating = append(floating, floatRef{idx: d, named: true})
+		if err := in.add(n, res.Context); err != nil {
+			abortAll()
+			return core.PromiseResponse{}, false, err
 		}
+		floatIdx = append(floatIdx, res.Deferred...)
 	}
 
 	// Phase 2: the cluster-level joint match, when anything floats.
@@ -522,12 +522,12 @@ func (e *Engine) tryFed(ctx context.Context, client string, pr core.PromiseReque
 	for _, n := range nodeOrder {
 		specs[n] = &core.FedConfirmSpec{}
 	}
-	if len(floating) > 0 {
-		plan, ok, err := solveClusterMatch(ctxs, pr.Predicates, floating, e.mode)
-		if err != nil {
-			abortAll()
-			return core.PromiseResponse{}, false, err
+	if len(floatIdx) > 0 {
+		preds := make([]core.Predicate, len(floatIdx))
+		for k, i := range floatIdx {
+			preds[k] = pr.Predicates[i]
 		}
+		plan, ok := core.SolveJoint(in.slots, in.cands, preds, floatIdx, e.mode)
 		if !ok {
 			abortAll()
 			if pruned && !at.widened {
@@ -539,26 +539,29 @@ func (e *Engine) tryFed(ctx context.Context, client string, pr core.PromiseReque
 			}
 			return reject("%s", reasonJointUnsat), false, nil
 		}
-		for n, ras := range plan.realloc {
+		for n, ras := range plan.Realloc {
 			specs[n].Realloc = ras
 		}
-		for _, mv := range plan.moves {
-			pid, ok := slotPromiseID(mv.slot.Key)
+		for _, mv := range plan.Moves {
+			sl, from := in.exported[mv.Slot], in.slots[mv.Slot].Node
+			pid, ok := slotPromiseID(sl.Key)
 			if !ok {
 				abortAll()
-				return core.PromiseResponse{}, false, fmt.Errorf("cluster: malformed slot key %q", mv.slot.Key)
+				return core.PromiseResponse{}, false, fmt.Errorf("cluster: malformed slot key %q", sl.Key)
 			}
-			specs[mv.from].MigrateOut = append(specs[mv.from].MigrateOut, pid)
-			specs[mv.to].MigrateIn = append(specs[mv.to].MigrateIn, core.FedMigrateIn{
-				ID:       pid,
-				Client:   mv.slot.Client,
-				Expr:     mv.slot.Expr,
-				Expires:  mv.slot.Expires,
-				Instance: mv.inst,
-				FromNode: mv.from,
+			specs[from].MigrateOut = append(specs[from].MigrateOut, pid)
+			specs[mv.To].MigrateIn = append(specs[mv.To].MigrateIn, core.FedMigrateIn{
+				ID:          pid,
+				Client:      sl.Client,
+				Expr:        sl.Expr,
+				Expires:     sl.Expires,
+				Instance:    mv.Instance,
+				FromNode:    from,
+				Priority:    sl.Priority,
+				Preemptible: sl.Preemptible,
 			})
 		}
-		for n, pins := range plan.pinned {
+		for n, pins := range plan.Pinned {
 			specs[n].Pinned = pins
 		}
 	}
@@ -622,6 +625,69 @@ func (e *Engine) tryFed(ctx context.Context, client string, pr core.PromiseReque
 		resp.PromiseID = CompositePrefix + strings.Join(ids, "+")
 	}
 	return resp, false, nil
+}
+
+// jointInput gathers the contexts the reserved nodes exported into the
+// joint matcher's input (core.SolveJoint), placing each slot and candidate
+// by (node, shard) and parsing each slot expression once.
+type jointInput struct {
+	slots    []core.JointSlot
+	exported []core.FedSlot // parallel to slots
+	cands    []core.JointCand
+	exprs    map[string]predicate.Expr
+}
+
+func (in *jointInput) add(node string, fc *core.FedContext) error {
+	if fc == nil {
+		return nil
+	}
+	for _, sl := range fc.Slots {
+		expr, ok := in.exprs[sl.Expr]
+		if !ok {
+			if in.exprs == nil {
+				in.exprs = make(map[string]predicate.Expr)
+			}
+			var err error
+			if expr, err = predicate.Parse(sl.Expr); err != nil {
+				return fmt.Errorf("cluster: node %s slot %s: bad expression %q: %v", node, sl.Key, sl.Expr, err)
+			}
+			in.exprs[sl.Expr] = expr
+		}
+		in.slots = append(in.slots, core.JointSlot{
+			PropertySlot: core.PropertySlot{Key: sl.Key, Expr: expr, Assigned: sl.Assigned, Migratable: sl.Migratable},
+			Node:         node,
+			Shard:        sl.Shard,
+			CrossNode:    sl.CrossNode,
+		})
+		in.exported = append(in.exported, sl)
+	}
+	for _, c := range fc.Candidates {
+		in.cands = append(in.cands, core.JointCand{
+			PropertyCandidate: core.PropertyCandidate{Instance: candInstance(c), Tentative: c.Tentative},
+			Node:              node,
+			Shard:             c.Shard,
+		})
+	}
+	return nil
+}
+
+// candInstance rebuilds an exported candidate as the instance a local
+// matcher sees: the same id, status and properties.
+func candInstance(c core.FedCandidate) *resource.Instance {
+	status := resource.Available
+	if c.Tentative {
+		status = resource.Promised
+	}
+	return &resource.Instance{ID: c.Instance, Status: status, Props: c.Props}
+}
+
+// slotPromiseID extracts the promise id from a slot key ("<promise>#<idx>").
+func slotPromiseID(key string) (string, bool) {
+	i := strings.LastIndexByte(key, '#')
+	if i <= 0 {
+		return "", false
+	}
+	return key[:i], true
 }
 
 // relocate re-resolves the given release part ids by broadcast; reports

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -58,9 +60,23 @@ func (p *pair) onSurvivors(crashed string) bool {
 	return true
 }
 
+// testShards returns the per-node shard count for the simulated cluster:
+// the PROMISES_TEST_SHARDS environment variable when set (the CI matrix
+// plumbs {1, 8} through it), else def.
+func testShards(def int) int {
+	if v := os.Getenv("PROMISES_TEST_SHARDS"); v != "" {
+		if n, err := strconv.Atoi(v); err == nil && n > 0 {
+			return n
+		}
+	}
+	return def
+}
+
 // TestClusterEquivalenceRandom drives an identical randomized workload
-// through a simulated 3-node federation and through one core.Manager on
-// the same fake clock, and requires them to agree on every observable:
+// through a simulated 3-node federation (PROMISES_TEST_SHARDS shards per
+// node, default 4) and through a one-shard core.Manager — the single
+// store — on the same fake clock, and requires them to agree on every
+// observable:
 // accept/reject of each grant, the sentinel class of every check and
 // release, pool levels, and audit health. Midway one node is killed —
 // with a confirm reply lost in flight — and later remediated; after
@@ -79,9 +95,9 @@ func runEquivalence(t *testing.T, seed int64) {
 		healRound  = 80
 		rounds     = 120
 	)
-	sim, eng := newSim(t, core.MatchingMode)
+	sim, eng := newSimShards(t, core.MatchingMode, testShards(4))
 	ref, err := core.New(core.Config{
-		Shards:       4,
+		Shards:       1,
 		Clock:        sim.Clock(),
 		PropertyMode: core.MatchingMode,
 	})

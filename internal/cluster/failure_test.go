@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -444,4 +445,104 @@ func TestBackgroundReconcileLoopDrainsQueue(t *testing.T) {
 	if got := eng.PendingCompensations(); got != 0 {
 		t.Fatalf("%d compensations still pending after the second alarm", got)
 	}
+}
+
+// A slot that moves to another node keeps its tier and spot flag, whether
+// the coordinator drains its node or a joint match displaces it: a
+// preemptible hold must stay preemptible at its new home.
+func TestCrossNodeMigrationKeepsTierAndSpotFlag(t *testing.T) {
+	// setup grants one priority-1 preemptible twin-bed hold on a cluster
+	// with one twin room on n0 and one on n1, and returns the grant plus
+	// the node and room backing it.
+	setup := func(t *testing.T) (*simulator.Cluster, *cluster.Engine, core.PromiseResponse, string, string) {
+		sim, eng := newSim(t, core.MatchingMode)
+		for _, node := range []string{"n0", "n1"} {
+			in := nameOwnedBy(t, sim.Ring(), node, "room")
+			if err := sim.CreateInstance(in, map[string]predicate.Value{
+				"beds": predicate.Str("twin"),
+				"room": predicate.Str(in),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resps, err := eng.GrantBatch(bg, "alice", []core.PromiseRequest{{
+			Predicates:  []core.Predicate{core.MustProperty(`beds = "twin"`)},
+			Duration:    time.Hour,
+			Priority:    1,
+			Preemptible: true,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resps[0].Accepted {
+			t.Fatalf("hold rejected: %s", resps[0].Reason)
+		}
+		holder, _, _ := strings.Cut(resps[0].PromiseID, "!")
+		p, err := sim.Node(holder).Manager().PromiseInfo(resps[0].PromiseID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim, eng, resps[0], holder, p.Assigned[0]
+	}
+	// landed finds the hold on a node other than from and checks that it
+	// kept its tier and spot flag.
+	landed := func(t *testing.T, sim *simulator.Cluster, id, from string) {
+		for _, node := range []string{"n0", "n1", "n2"} {
+			if node == from {
+				continue
+			}
+			p, err := sim.Node(node).Manager().PromiseInfo(id)
+			if err != nil {
+				continue
+			}
+			if p.Priority != 1 || !p.Preemptible {
+				t.Fatalf("hold %s on %s has priority %d, preemptible %v; want 1, true", id, node, p.Priority, p.Preemptible)
+			}
+			return
+		}
+		t.Fatalf("hold %s did not move off %s", id, from)
+	}
+
+	t.Run("drain", func(t *testing.T) {
+		sim, _, hold, holder, _ := setup(t)
+		coord, err := sim.Coordinator(cluster.CoordinatorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stranded, err := coord.Drain(bg, holder)
+		if err != nil || stranded != 0 {
+			t.Fatalf("drain of %s: stranded %d, err %v", holder, stranded, err)
+		}
+		landed(t, sim, hold.PromiseID, holder)
+	})
+
+	t.Run("displace", func(t *testing.T) {
+		sim, eng, hold, holder, room := setup(t)
+		// A single room held on n1 gives both twin rooms' nodes a slot, so
+		// neither node's pre-filter prunes its twin room by value.
+		single := nameOwnedBy(t, sim.Ring(), "n1", "single")
+		if err := sim.CreateInstance(single, map[string]predicate.Value{"beds": predicate.Str("single")}); err != nil {
+			t.Fatal(err)
+		}
+		resps, err := eng.GrantBatch(bg, "carol", []core.PromiseRequest{{
+			Predicates: []core.Predicate{core.MustProperty(`beds = "single"`)},
+			Duration:   time.Hour,
+		}})
+		if err != nil || !resps[0].Accepted {
+			t.Fatalf("single-room hold: %+v, %v", resps, err)
+		}
+		// Only the hold's own room satisfies the new request, so the joint
+		// match must move the hold to the other node's twin room.
+		resps, err = eng.GrantBatch(bg, "bob", []core.PromiseRequest{{
+			Predicates: []core.Predicate{core.MustProperty(fmt.Sprintf(`room = %q`, room))},
+			Duration:   time.Hour,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resps[0].Accepted {
+			t.Fatalf("displacing grant rejected: %s", resps[0].Reason)
+		}
+		landed(t, sim, hold.PromiseID, holder)
+	})
 }

@@ -43,10 +43,10 @@ import (
 // rejection and a released promise springs back untouched when the grant
 // fails elsewhere. Because releases apply before planning, §4
 // release-with-grant upgrades keep their semantics across shards, and
-// property-view predicates are placed by a single global bipartite match
-// over every shard's candidates (globalmatch.go) — the engine accepts
-// exactly the requests its one-shard configuration accepts, for any shard
-// count. (At one shard, property requests included, every request takes
+// property-view predicates are placed by a single joint bipartite match
+// over every shard's candidates (session.go, jointmatch.go) — the engine
+// accepts exactly the requests its one-shard configuration accepts, for
+// any shard count. (At one shard, property requests included, every request takes
 // the single-shard path straight into the shard's §8 transaction.) The
 // granted whole is a composite promise ("shp-<n>") tracked in a directory
 // mapping it to its per-shard parts; clients use composite ids exactly
@@ -434,9 +434,9 @@ func (s *Manager) addPromiseID(set map[int]bool, id string, simple *bool) {
 // shards the pre-filter says could contribute a slot, a candidate or a
 // migration target join the route (contributingShards). The summaries are
 // read lock-free here, so the answer is a hint, not a commitment — the
-// caller's re-route-under-locks loop and grantCross's under-lock
-// re-validation (errPrefilterWiden) are what make it sound; see the
-// Phase 1 comment in grantCross for the equivalence argument.
+// caller's re-route-under-locks loop and the grant session's under-lock
+// re-validation (errPrefilterWiden) are what make it sound; see
+// grantSession.reserve for the equivalence argument.
 func (s *Manager) routeRequest(pr PromiseRequest) (set map[int]bool, simple bool) {
 	set = make(map[int]bool)
 	simple = true
@@ -452,7 +452,7 @@ func (s *Manager) routeRequest(pr PromiseRequest) (set map[int]bool, simple bool
 		}
 	}
 	if len(props) > 0 {
-		for i := range s.contributingShards(pr, props) {
+		for i := range s.contributingShards(pr.Predicates, props) {
 			set[i] = true
 		}
 		if len(s.shards) > 1 {
@@ -670,7 +670,7 @@ func (s *Manager) execute(ctx context.Context, req Request) (*Response, error) {
 				if errors.Is(err, errPrefilterWiden) {
 					// The pre-filter flapped on a shard outside the held
 					// set; retry under every lock, where the widen signal
-					// cannot fire again (see grantCross Phase 1).
+					// cannot fire again (see grantSession.reserve).
 					involved = s.allShards()
 					continue
 				}
@@ -835,12 +835,13 @@ func (s *Manager) applyReleaseGroups(client string, groups map[int][]EnvEntry, s
 	}
 }
 
-// grantCross evaluates one promise request that may span shards, running
-// the two-phase reserve → confirm/abort pipeline of reserve.go. Caller
-// holds the locks of exactly the shards in locked, which cover every
-// shard the request routed to; grantCross never reserves outside that
-// set, returning errPrefilterWiden instead when the re-read pre-filter
-// says it would have to (see Phase 1).
+// grantCross evaluates one promise request that may span shards. A
+// request that lives on one shard delegates to it wholesale; everything
+// else runs the reserve → match → confirm session of session.go. Caller
+// holds the locks of exactly the shards in locked, which cover every shard
+// the request routed to; the session never reserves outside that set,
+// returning errPrefilterWiden instead when the re-read pre-filter says it
+// would have to (see grantSession.reserve).
 //
 // Cancellation is checked between per-shard reservations and once more
 // before the first Confirm: a context that dies mid-pipeline aborts every
@@ -850,410 +851,94 @@ func (s *Manager) applyReleaseGroups(client string, groups map[int][]EnvEntry, s
 // the pipeline runs to completion; cancellation can no longer split the
 // grant.
 func (s *Manager) grantCross(ctx context.Context, client string, pr PromiseRequest, locked map[int]bool) (PromiseResponse, error) {
-	reject := func(format string, args ...any) PromiseResponse {
-		return PromiseResponse{Correlation: pr.RequestID, Reason: fmt.Sprintf(format, args...)}
+	reject := func(rej PromiseResponse) (PromiseResponse, error) {
+		rej.Correlation = pr.RequestID
+		return rej, nil
 	}
 	if len(pr.Predicates) == 0 {
-		return reject("no predicates in promise request"), nil
+		return reject(PromiseResponse{Reason: "no predicates in promise request"})
 	}
-	for _, p := range pr.Predicates {
-		if err := p.Validate(); err != nil {
-			return reject("invalid predicate %s: %v", p, err), nil
-		}
+	g, rej, err := s.openSession(ctx, client, FedReserveSpec{
+		Releases:    pr.Releases,
+		Predicates:  pr.Predicates,
+		Duration:    pr.Duration,
+		MinDuration: pr.MinDuration,
+		Priority:    pr.Priority,
+		Preemptible: pr.Preemptible,
+	})
+	if err != nil {
+		return PromiseResponse{}, err
 	}
-	// Normalize the tier here (pr is a copy) so the coordinator and every
-	// shard agree on it; shard configs share one DefaultPriority.
-	if pr.Priority == 0 {
-		pr.Priority = s.shards[0].cfg.DefaultPriority
+	if rej != nil {
+		return reject(*rej)
 	}
 
-	// Partition release targets to their owning shards, expanding composite
-	// targets into their per-shard parts. Usability is checked by each
-	// shard's Reserve, under its transaction.
-	relByShard := make(map[int][]string)
-	hasCompositeRel := false
-	for _, rid := range pr.Releases {
-		if isCompositeID(rid) {
-			hasCompositeRel = true
-			c := s.lookupComposite(client, rid)
-			if c == nil {
-				return reject("release target %s: %v", rid, fmt.Errorf("%w: %s", ErrPromiseNotFound, rid)), nil
+	// Same-shard request: delegate wholesale so the common case stays one
+	// ordinary sub-promise with no reservation or directory overhead.
+	if sh, ok := g.singleShard(); ok {
+		resp, err := s.shards[sh].Execute(ctx, Request{Client: client, PromiseRequests: []PromiseRequest{pr}})
+		if err != nil {
+			return PromiseResponse{}, err
+		}
+		return resp.Promises[0], nil
+	}
+
+	defer g.abort()
+	if rej, err := g.reserve(ctx, locked); rej != nil || err != nil {
+		if err != nil {
+			return PromiseResponse{}, err
+		}
+		return reject(*rej)
+	}
+	plan := &JointPlan{}
+	if len(g.floating) > 0 {
+		var ok bool
+		if plan, ok, err = g.solve(); err != nil {
+			return PromiseResponse{}, err
+		}
+		if !ok && g.spec.Priority > 0 && s.mode == MatchingMode {
+			// Spot-capacity fallback (preempt.go): displacing lower-tier
+			// preemptible holds may restore joint feasibility. It runs only
+			// under the full lock set (widen first otherwise; the retry is
+			// a pure re-execution) over every shard's reservation.
+			if len(locked) < len(s.shards) {
+				return PromiseResponse{}, errPrefilterWiden
 			}
-			for _, part := range c.parts {
-				relByShard[part.shard] = append(relByShard[part.shard], part.id)
-			}
-			continue
-		}
-		sh, ok := s.ownerShard(rid)
-		if !ok {
-			return reject("release target %s: %v", rid, fmt.Errorf("%w: %s", ErrPromiseNotFound, rid)), nil
-		}
-		relByShard[sh] = append(relByShard[sh], rid)
-	}
-
-	// Resolve the duration cap (manager clamp + context deadline) up front:
-	// a request whose floor cannot be met must reject before any shard
-	// reserves, even when every predicate floats (shard configs agree, so
-	// any shard's answer is the answer). The capped value also prices the
-	// pinned grants below, so a floating predicate cannot outlive the
-	// caller's deadline either.
-	durCapped, durReason := s.shards[0].grantDuration(ctx, pr.Duration, pr.MinDuration)
-	if durReason != "" {
-		s.shards[0].metrics.requests.Inc()
-		s.shards[0].metrics.rejections.Inc()
-		return reject("%s", durReason), nil
-	}
-
-	// Partition predicates: anonymous and named bind to their resource's
-	// shard; property predicates float and are placed by the global match.
-	// A named predicate whose instance is tentatively allocated to a
-	// property promise is deferred into the global match too: granting it
-	// displaces that allocation, and the displaced slot may need to land
-	// on any shard (first-fit never displaces, so it never defers — the
-	// owning shard's planner rejects exactly as the single store would).
-	fixed := make(map[int][]int)
-	var floating []floatPred
-	for i, p := range pr.Predicates {
-		switch p.View {
-		case AnonymousView:
-			fixed[s.ShardOf(p.Pool)] = append(fixed[s.ShardOf(p.Pool)], i)
-		case NamedView:
-			if s.mode == MatchingMode {
-				// Deliberately re-peeked here even though needsGlobal
-				// already asked: an earlier promise request in the same
-				// message can have granted a property promise onto this
-				// instance, so the deferral answer must be re-read per
-				// request. The displaced slot may need to re-home on a
-				// shard the route never locked; the deferred predicate
-				// joins floating, so Phase 1's clamp check below catches
-				// that case and widens rather than plan past the held set.
-				held, err := s.shards[s.ShardOf(p.Instance)].propertySlotHolder(p.Instance)
+			if rej, err := g.reserveRest(ctx); rej != nil || err != nil {
 				if err != nil {
 					return PromiseResponse{}, err
 				}
-				if held {
-					floating = append(floating, floatPred{idx: i, named: true})
-					continue
-				}
+				return reject(*rej)
 			}
-			fixed[s.ShardOf(p.Instance)] = append(fixed[s.ShardOf(p.Instance)], i)
-		case PropertyView:
-			floating = append(floating, floatPred{idx: i})
-		}
-	}
-
-	// Same-shard request: when every predicate and every release target
-	// lives on one shard (and no release is composite, which a shard cannot
-	// resolve), delegate wholesale so the common case stays one ordinary
-	// sub-promise with no reservation or directory overhead.
-	if len(floating) == 0 && len(fixed) == 1 && !hasCompositeRel {
-		for sh := range fixed {
-			sameShard := true
-			for rsh := range relByShard {
-				if rsh != sh {
-					sameShard = false
-				}
-			}
-			if !sameShard {
-				break
-			}
-			resp, err := s.shards[sh].Execute(ctx, Request{Client: client, PromiseRequests: []PromiseRequest{pr}})
-			if err != nil {
+			if plan, ok, err = g.preempt(); err != nil {
 				return PromiseResponse{}, err
 			}
-			return resp.Promises[0], nil
-		}
-	}
-
-	// Phase 1 — reserve. Every involved shard tentatively applies its
-	// releases and grants its fixed predicates inside an open transaction.
-	// With floating predicates, the candidate-index pre-filter decides
-	// which shards join: only those whose published index says they could
-	// contribute a slot, a candidate instance or a migration target (see
-	// contributingShards — shards with nothing to offer are provably
-	// irrelevant to the joint match and their reservations are skipped).
-	//
-	// Since the route itself is pre-filtered, the held lock set no longer
-	// covers every shard, and summaries of unlocked shards can move while
-	// this runs — the index flap PR 5's all-shards route made impossible.
-	// Equivalence with the single store survives the flap because of how
-	// the two outcomes linearize:
-	//
-	//   - Accepts are self-justifying: the match is solved over candidate
-	//     state read transactionally on reserved (locked) shards, and the
-	//     plan is applied and confirmed under those same locks. Extra
-	//     capacity appearing elsewhere can only keep a feasible request
-	//     feasible, so no flap invalidates an accept.
-	//   - Rejects linearize at the instant this re-read of the pre-filter
-	//     loads the unlocked shards' summaries. Locked shards are frozen
-	//     from acquisition through commit, so their state "now" is their
-	//     state at that instant; each unlocked shard's summary is its
-	//     committed state at its atomic load (commit hooks publish before
-	//     the shard lock releases). Together they form one consistent
-	//     global state in which every excluded shard provably contributes
-	//     nothing — the exact state a single store would have rejected.
-	//     A shard that becomes useful afterwards serializes the request
-	//     before that commit.
-	//
-	// The one case with no such instant is a shard the re-read names as
-	// contributing whose lock the route-time hint never took: it cannot
-	// be reserved (no lock), and excluding it would reject against a view
-	// no global state matches. That is the widen signal — the caller
-	// retries under the full lock set, where the clamp is vacuous.
-	involved := make(map[int]bool)
-	for sh := range relByShard {
-		involved[sh] = true
-	}
-	for sh := range fixed {
-		involved[sh] = true
-	}
-	if len(floating) > 0 {
-		for i := range s.contributingShards(pr, floating) {
-			if !locked[i] {
-				return PromiseResponse{}, errPrefilterWiden
-			}
-			involved[i] = true
-		}
-		if len(involved) == 0 {
-			// No shard can contribute and nothing is fixed or released:
-			// reserve one (held) shard anyway so the rejection runs through
-			// the same counters and response shape as always.
-			involved[sortedKeys(locked)[0]] = true
-		}
-		if skipped := len(s.shards) - len(involved); skipped > 0 {
-			s.prefilterSkipped.Add(int64(skipped))
-		}
-	}
-	resvs := make(map[int]*Reservation)
-	abortAll := func() {
-		for _, sh := range sortedKeys(resvs) {
-			resvs[sh].Abort()
-		}
-	}
-	for _, sh := range sortedKeys(involved) {
-		// The cancellation point of the pipeline: a context that died while
-		// earlier shards reserved aborts everything before any Confirm.
-		if err := ctx.Err(); err != nil {
-			abortAll()
-			return PromiseResponse{}, err
-		}
-		idxs := fixed[sh]
-		preds := make([]Predicate, len(idxs))
-		for j, idx := range idxs {
-			preds[j] = pr.Predicates[idx]
-		}
-		resv, rejResp, err := s.shards[sh].Reserve(ctx, client, ReserveRequest{
-			Releases:    relByShard[sh],
-			Predicates:  preds,
-			PredIdx:     idxs,
-			Duration:    pr.Duration,
-			MinDuration: pr.MinDuration,
-			Priority:    pr.Priority,
-			Preemptible: pr.Preemptible,
-		})
-		if err != nil {
-			abortAll()
-			return PromiseResponse{}, err
-		}
-		if rejResp != nil {
-			// One shard's rejection aborts the whole pipeline: releases
-			// spring back into force on every shard (§4).
-			abortAll()
-			out := *rejResp
-			out.Correlation = pr.RequestID
-			return out, nil
-		}
-		resvs[sh] = resv
-	}
-
-	// Phase 2 — global property match. The coordinator solves one joint
-	// bipartite problem over every shard's candidates and applies the
-	// solution through the open reservations, releases strictly before
-	// acquisitions: migrating slots detach first, within-shard
-	// reallocations run per shard, migrating slots re-attach on their new
-	// shard, then the new predicates pin to their chosen instances — each
-	// as a single-predicate sub-promise, so the slot stays migratable.
-	var pendingMoves []slotMigration
-	var movedRows []*Promise
-	preempted := false
-	if len(floating) > 0 {
-		plans, migs, ok, err := s.solveFloatAssignment(resvs, pr, floating, s.mode)
-		if err != nil {
-			abortAll()
-			return PromiseResponse{}, err
-		}
-		if !ok && pr.Priority > 0 && s.mode == MatchingMode {
-			// Spot-capacity fallback (preempt.go): displacing lower-tier
-			// preemptible holds may restore joint feasibility. The victims
-			// that help can hold instances on any shard — including shards
-			// the pre-filter excluded, whose named-held instances become
-			// candidates once freed — so the fallback runs only under the
-			// full lock set (widen first otherwise; the retry is a pure
-			// re-execution, as in Phase 1) and reserves the leftover shards.
-			if len(locked) < len(s.shards) {
-				abortAll()
-				return PromiseResponse{}, errPrefilterWiden
-			}
-			for i := range s.shards {
-				if resvs[i] != nil {
-					continue
-				}
-				resv, rejResp, rerr := s.shards[i].Reserve(ctx, client, ReserveRequest{
-					Duration:    pr.Duration,
-					MinDuration: pr.MinDuration,
-					Priority:    pr.Priority,
-					Preemptible: pr.Preemptible,
-				})
-				if rerr != nil {
-					abortAll()
-					return PromiseResponse{}, rerr
-				}
-				if rejResp != nil {
-					// An empty reservation cannot reject on capacity; this is
-					// a duration-floor rejection, identical on every shard.
-					abortAll()
-					out := *rejResp
-					out.Correlation = pr.RequestID
-					return out, nil
-				}
-				resvs[i] = resv
-			}
-			plans, migs, ok, err = s.preemptFloat(pr, resvs, floating)
-			if err != nil {
-				abortAll()
-				return PromiseResponse{}, err
-			}
-			preempted = ok
 		}
 		if !ok {
-			abortAll()
+			g.abort()
 			// Abort counted the per-shard requests; the client-visible
 			// rejection lands on the lowest involved shard's counter.
-			s.shards[sortedKeys(resvs)[0]].metrics.rejections.Inc()
-			return reject("property predicates not jointly satisfiable with outstanding promises"), nil
+			s.shards[sortedKeys(g.resvs)[0]].metrics.rejections.Inc()
+			return reject(PromiseResponse{Reason: "property predicates not jointly satisfiable with outstanding promises"})
 		}
-		migRows := make([]*Promise, len(migs))
-		for i, mg := range migs {
-			if migRows[i], err = resvs[mg.from].MigrateOut(mg.promiseID); err != nil {
-				abortAll()
-				return PromiseResponse{}, err
-			}
-		}
-		for _, sh := range sortedKeys(plans) {
-			if p := plans[sh]; len(p.realloc) > 0 {
-				if err := resvs[sh].ApplyRealloc(p.realloc); err != nil {
-					abortAll()
-					return PromiseResponse{}, err
-				}
-			}
-		}
-		for i, mg := range migs {
-			if err := resvs[mg.to].MigrateIn(migRows[i], mg.inst); err != nil {
-				abortAll()
-				return PromiseResponse{}, err
-			}
-		}
-		for _, sh := range sortedKeys(plans) {
-			p := plans[sh]
-			for j := range p.preds {
-				if err := resvs[sh].GrantPinned(p.preds[j:j+1], p.predIdx[j:j+1], p.assign[j:j+1], durCapped); err != nil {
-					abortAll()
-					return PromiseResponse{}, err
-				}
-			}
-		}
-		if preempted {
-			// Name the displacing promise in every pending EventPreempted:
-			// the lowest granted part id (the composite id does not exist
-			// until after confirm, and a single-part grant answers to its
-			// part id anyway).
-			by := ""
-			for _, sh := range sortedKeys(resvs) {
-				if g := resvs[sh].Granted(); len(g) > 0 {
-					by = g[0].ID
-					break
-				}
-			}
-			for _, sh := range sortedKeys(resvs) {
-				resvs[sh].StampPreemptedBy(by)
-			}
-		}
-		pendingMoves = migs
-		movedRows = migRows
 	}
-
-	// Phase 3 — confirm, in ascending shard order. Commit of an open
-	// reservation cannot conflict (the shard lock is held), so a failure
-	// here is an internal invariant break; grants already confirmed are
-	// handed back best-effort so no promise the client never learned about
-	// outlives the call. The last cancellation check sits before the first
-	// Confirm: past it the grant is committed whole.
-	if err := ctx.Err(); err != nil {
-		abortAll()
+	if err := g.apply(FedConfirmSpec{Realloc: plan.Realloc[""], Pinned: plan.Pinned[""]}); err != nil {
 		return PromiseResponse{}, err
 	}
-	// With migrations pending, the confirms below make a promise vanish
-	// from its source shard's snapshot before the directory re-routes it;
-	// the odd seqlock value tells lock-free readers their miss may be this
-	// race rather than a definitive not-found.
-	migrating := len(pendingMoves) > 0
-	if migrating {
-		s.migSeq.Add(1)
-	}
-	var confirmed []compositePart
-	for _, sh := range sortedKeys(resvs) {
-		granted := resvs[sh].Granted()
-		if err := resvs[sh].Confirm(); err != nil {
-			if migrating {
-				s.migSeq.Add(1)
-			}
-			abortAll()
-			s.releaseParts(client, confirmed)
-			return PromiseResponse{}, err
-		}
-		for _, g := range granted {
-			confirmed = append(confirmed, compositePart{shard: sh, id: g.ID, predIdx: g.PredIdx, expires: g.Expires})
-		}
-	}
-	s.commitMoves(pendingMoves)
-	if migrating {
-		s.migSeq.Add(1)
-	}
-	if len(pendingMoves) > 0 {
-		// The migrated promises now live (and will expire) on their new
-		// shards; their ids, clients and expiries are unchanged, and the
-		// shared bus keeps their event streams continuous.
-		now := s.clk.Now()
-		events := make([]Event, 0, len(pendingMoves))
-		for i, mg := range pendingMoves {
-			row := movedRows[i]
-			s.shards[mg.to].trackExpiry(row.ID, row.Expires)
-			events = append(events, Event{
-				Type: EventMigrated, PromiseID: row.ID, Client: row.Client,
-				Time: now, Expires: row.Expires,
-				Reason: fmt.Sprintf("slot moved from shard %d to shard %d", mg.from, mg.to),
-			})
-		}
-		s.bus.publish(events...)
+	confirmed, err := g.commit(ctx, nil)
+	if err != nil {
+		return PromiseResponse{}, err
 	}
 
 	// A pipeline that produced a single sub-promise (e.g. an upgrade whose
 	// new predicates all land on one shard while the releases span others)
 	// needs no composite id: the part is an ordinary promise.
-	if len(confirmed) == 1 {
-		if err := s.durSync(); err != nil {
-			return PromiseResponse{}, fmt.Errorf("core: commit not durable: %w", err)
-		}
-		return PromiseResponse{
-			Correlation: pr.RequestID,
-			Accepted:    true,
-			PromiseID:   confirmed[0].id,
-			Expires:     confirmed[0].expires,
-		}, nil
+	id, expires := confirmed[0].id, confirmed[0].expires
+	if len(confirmed) > 1 {
+		id, expires = s.registerComposite(client, confirmed)
 	}
-	id, expires := s.registerComposite(client, confirmed)
 	// The directory add, the migration events and every part commit must be
-	// on stable storage before the composite id is handed out.
+	// on stable storage before the promise id is handed out.
 	if err := s.durSync(); err != nil {
 		return PromiseResponse{}, fmt.Errorf("core: commit not durable: %w", err)
 	}
@@ -1271,9 +956,9 @@ func (s *Manager) grantCross(ctx context.Context, client string, pr PromiseReque
 // match, read lock-free from each shard's published candidate-index
 // summary (candidates.go). Summaries of shards whose lock the caller
 // holds cannot move underneath the decision; the rest can. routeRequest
-// therefore treats the answer as a hint, and grantCross re-reads it under
-// the held locks, clamping to the lock set and widening on a flap — the
-// Phase 1 comment there carries the equivalence argument.
+// therefore treats the answer as a hint, and grantSession.reserve re-reads
+// it under the held locks, clamping to the lock set and widening on a
+// flap — the comment there carries the equivalence argument.
 //
 // Two sound pruning tiers, both strictly conservative:
 //
@@ -1293,7 +978,7 @@ func (s *Manager) grantCross(ctx context.Context, client string, pr PromiseReque
 //
 // Everything else — skew in instance placement being the headline case —
 // shrinks the reservation set to the shards that matter.
-func (s *Manager) contributingShards(pr PromiseRequest, floating []floatPred) map[int]bool {
+func (s *Manager) contributingShards(preds []Predicate, floating []floatPred) map[int]bool {
 	out := make(map[int]bool, len(s.shards))
 	if s.disablePrefilter {
 		for i := range s.shards {
@@ -1318,7 +1003,7 @@ func (s *Manager) contributingShards(pr PromiseRequest, floating []floatPred) ma
 				valuePrune = false
 				break
 			}
-			exprs = append(exprs, pr.Predicates[f.idx].Expr)
+			exprs = append(exprs, preds[f.idx].Expr)
 		}
 	}
 	now := s.clk.Now()
@@ -1553,7 +1238,7 @@ retry:
 			presp, err := s.grantCross(ctx, client, reqs[idx], involved)
 			if errors.Is(err, errPrefilterWiden) {
 				// The pre-filter flapped past the held lock set (see
-				// grantCross Phase 1): compensate the batch's committed
+				// grantSession.reserve): compensate the batch's committed
 				// grants and rerun it whole under every lock.
 				undo()
 				unlock()

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/clock"
@@ -12,17 +11,18 @@ import (
 )
 
 // This file is the node-side half of cluster federation: a wire-facing
-// wrapper around the PR 2 reserve/confirm pipeline that lets a *remote*
+// port onto the grant session of session.go that lets a *remote*
 // coordinator (cluster.Engine, or the drain path of cluster.Coordinator)
 // drive this node's shards as one participant of a cross-node two-phase
 // grant. FedReserve opens a session — shard locks held, per-shard
 // reservations open, fixed predicates tentatively granted — and exports the
 // node's property-match state (slots + candidates) so the caller can solve
-// the joint bipartite problem across nodes. FedConfirm applies the caller's
-// plan (reallocations, slot migrations in and out of the node, pinned
-// property grants) through the open reservations and commits; FedAbort
-// rolls everything back. A TTL alarm aborts sessions whose caller died, so
-// a crashed coordinator can never wedge a node's shard locks forever.
+// the joint bipartite problem across nodes (SolveJoint). FedConfirm hands
+// the caller's plan (reallocations, slot migrations in and out of the
+// node, pinned property grants) to the session to apply and commit;
+// FedAbort rolls everything back. A TTL alarm aborts sessions whose caller
+// died, so a crashed coordinator can never wedge a node's shard locks
+// forever.
 
 // FedReserveSpec is the reserve half of a federated grant as it applies to
 // one node: the release targets and predicates this node owns, plus every
@@ -86,10 +86,12 @@ type FedSlot struct {
 	// plain sub-promises, false for members of a node-local composite
 	// (the node's directory could not track a part leaving the node).
 	CrossNode bool
-	// Client and Expires identify the promise for cross-node
-	// reconstruction.
-	Client  string
-	Expires time.Time
+	// Client, Expires, Priority and Preemptible identify the promise for
+	// cross-node reconstruction.
+	Client      string
+	Expires     time.Time
+	Priority    int
+	Preemptible bool
 }
 
 // FedCandidate is one instance available to the joint match.
@@ -144,7 +146,7 @@ type FedRealloc struct {
 }
 
 // FedMigrateIn re-homes a slot from another node onto an instance of this
-// node, preserving the promise's id, client and expiry.
+// node, preserving the promise's id, client, expiry, tier and spot flag.
 type FedMigrateIn struct {
 	ID       string
 	Client   string
@@ -152,7 +154,9 @@ type FedMigrateIn struct {
 	Expires  time.Time
 	Instance string
 	// FromNode names the source node, for the migration event.
-	FromNode string
+	FromNode    string
+	Priority    int
+	Preemptible bool
 }
 
 // FedPinned grants one floating predicate of the original request onto an
@@ -171,18 +175,16 @@ type FedConfirmSpec struct {
 	Pinned     []FedPinned
 }
 
-// fedSession is one open federated reservation: the shard locks are held
-// (unlock releases them), the per-shard reservations are open, and the TTL
-// alarm aborts the session if the caller never returns.
+// fedSession is one open federated grant session: the shard locks are
+// held (unlock releases them), the session's reservations are open, and
+// the TTL alarm aborts it if the caller never returns.
 type fedSession struct {
-	client    string
-	unlock    func()
-	resvs     map[int]*Reservation
-	durCapped time.Duration
-	stopTTL   func()
+	g       *grantSession
+	unlock  func()
+	stopTTL func()
 }
 
-// fedState lazily holds the session table on a Manager.
+// fedInit lazily creates the session table on a Manager.
 func (s *Manager) fedInit() {
 	s.fedMu.Lock()
 	if s.fedSessions == nil {
@@ -192,13 +194,14 @@ func (s *Manager) fedInit() {
 	s.fedMu.Unlock()
 }
 
-// FedReserve opens a federated session: it locks every shard, applies the
-// node's releases and fixed predicates through open reservations
-// (pre-filtered to the shards that matter, exactly as a local cross-shard
-// grant would), and exports the property-match context when asked. The
-// caller owns the session until FedConfirm/FedAbort; the TTL is the
-// backstop. Reserving nodes in ascending node-id order is the caller's
-// side of deadlock avoidance — the node-level analogue of lockShards.
+// FedReserve opens a federated session: it locks every shard, opens a
+// grant session over them — releases and fixed predicates applied through
+// open reservations, pre-filtered to the shards that matter exactly as a
+// local cross-shard grant would — and exports the property-match context
+// when asked. The caller owns the session until FedConfirm/FedAbort; the
+// TTL is the backstop. Reserving nodes in ascending node-id order is the
+// caller's side of deadlock avoidance — the node-level analogue of
+// lockShards.
 func (s *Manager) FedReserve(ctx context.Context, client string, spec FedReserveSpec) (*FedReserveResult, error) {
 	if client == "" {
 		return nil, fmt.Errorf("%w: missing client", ErrBadRequest)
@@ -208,158 +211,45 @@ func (s *Manager) FedReserve(ctx context.Context, client string, spec FedReserve
 	if err := s.health.reject(); err != nil {
 		return nil, err
 	}
-	reject := func(format string, args ...any) *FedReserveResult {
-		return &FedReserveResult{Reject: &PromiseResponse{Reason: fmt.Sprintf(format, args...)}}
-	}
 	if len(spec.Predicates) != len(spec.PredIdx) {
 		return nil, fmt.Errorf("%w: fed reserve: %d predicates, %d positions", ErrBadRequest, len(spec.Predicates), len(spec.PredIdx))
 	}
-	for _, p := range spec.Predicates {
-		if err := p.Validate(); err != nil {
-			return reject("invalid predicate %s: %v", p, err), nil
-		}
-	}
 	s.fedInit()
-
-	// Release targets route to their shards; composite targets expand.
-	relByShard := make(map[int][]string)
-	for _, rid := range spec.Releases {
-		if isCompositeID(rid) {
-			c := s.lookupComposite(client, rid)
-			if c == nil {
-				return reject("release target %s: %v", rid, fmt.Errorf("%w: %s", ErrPromiseNotFound, rid)), nil
-			}
-			for _, part := range c.parts {
-				relByShard[part.shard] = append(relByShard[part.shard], part.id)
-			}
-			continue
-		}
-		sh, ok := s.ownerShard(rid)
-		if !ok {
-			return reject("release target %s: %v", rid, fmt.Errorf("%w: %s", ErrPromiseNotFound, rid)), nil
-		}
-		relByShard[sh] = append(relByShard[sh], rid)
-	}
-
-	durCapped, durReason := s.shards[0].grantDuration(ctx, spec.Duration, spec.MinDuration)
-	if durReason != "" {
-		s.shards[0].metrics.requests.Inc()
-		s.shards[0].metrics.rejections.Inc()
-		return reject("%s", durReason), nil
-	}
 
 	// A federated session holds every shard lock: cross-node grants are
 	// rare next to their own network round trips, and the full set makes
 	// the pre-filter clamp vacuous (no widen signal can reach the wire).
-	unlock := s.lockShards(s.allShards())
+	all := s.allShards()
+	unlock := s.lockShards(all)
+	var g *grantSession
 	done := false
 	defer func() {
 		if !done {
+			if g != nil {
+				g.abort()
+			}
 			unlock()
 		}
 	}()
-
-	// Partition predicates under the locks (the named-deferral peek must
-	// be stable through commit). Property predicates are never granted at
-	// reserve — they float in the caller's joint match.
-	fixed := make(map[int][]int) // shard -> positions in spec.Predicates
-	var floating []floatPred     // positions in spec.Predicates
-	var deferred []int           // original request positions
-	for i, p := range spec.Predicates {
-		switch p.View {
-		case AnonymousView:
-			fixed[s.ShardOf(p.Pool)] = append(fixed[s.ShardOf(p.Pool)], i)
-		case NamedView:
-			if s.mode == MatchingMode {
-				held, err := s.shards[s.ShardOf(p.Instance)].propertySlotHolder(p.Instance)
-				if err != nil {
-					return nil, err
-				}
-				if held {
-					floating = append(floating, floatPred{idx: i, named: true})
-					deferred = append(deferred, spec.PredIdx[i])
-					continue
-				}
-			}
-			fixed[s.ShardOf(p.Instance)] = append(fixed[s.ShardOf(p.Instance)], i)
-		case PropertyView:
-			floating = append(floating, floatPred{idx: i})
-		}
+	g, rej, err := s.openSession(ctx, client, spec)
+	if err == nil && rej == nil {
+		rej, err = g.reserve(ctx, all)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if rej != nil {
+		return &FedReserveResult{Reject: rej}, nil
 	}
 
-	involved := make(map[int]bool)
-	for sh := range relByShard {
-		involved[sh] = true
-	}
-	for sh := range fixed {
-		involved[sh] = true
-	}
-	if len(floating) > 0 || spec.WantProps {
-		pseudo := PromiseRequest{Predicates: spec.Predicates}
-		for sh := range s.contributingShards(pseudo, floating) {
-			involved[sh] = true
-		}
-		if skipped := len(s.shards) - len(involved); skipped > 0 {
-			s.prefilterSkipped.Add(int64(skipped))
-		}
-	}
-	if len(involved) == 0 {
-		// Nothing fixed, released or contributing: reserve shard 0 so the
-		// session still has a transaction to answer through.
-		involved[0] = true
-	}
-
-	resvs := make(map[int]*Reservation)
-	abortAll := func() {
-		for _, sh := range sortedKeys(resvs) {
-			resvs[sh].Abort()
-		}
-	}
-	var granted []GrantedPart
-	for _, sh := range sortedKeys(involved) {
-		if err := ctx.Err(); err != nil {
-			abortAll()
+	res := &FedReserveResult{Granted: g.granted(), Deferred: g.deferred()}
+	if spec.WantProps || len(res.Deferred) > 0 {
+		if res.Context, err = s.fedContext(g.resvs); err != nil {
 			return nil, err
 		}
-		idxs := fixed[sh]
-		preds := make([]Predicate, len(idxs))
-		orig := make([]int, len(idxs))
-		for j, idx := range idxs {
-			preds[j] = spec.Predicates[idx]
-			orig[j] = spec.PredIdx[idx]
-		}
-		resv, rejResp, err := s.shards[sh].Reserve(ctx, client, ReserveRequest{
-			Releases:    relByShard[sh],
-			Predicates:  preds,
-			PredIdx:     orig,
-			Duration:    spec.Duration,
-			MinDuration: spec.MinDuration,
-			Priority:    spec.Priority,
-			Preemptible: spec.Preemptible,
-		})
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-		if rejResp != nil {
-			abortAll()
-			return &FedReserveResult{Reject: rejResp}, nil
-		}
-		resvs[sh] = resv
-		granted = append(granted, resv.Granted()...)
 	}
 
-	res := &FedReserveResult{Granted: granted, Deferred: deferred}
-	if spec.WantProps || len(deferred) > 0 {
-		fc, err := s.fedContext(resvs)
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-		res.Context = fc
-	}
-
-	sess := &fedSession{client: client, unlock: unlock, resvs: resvs, durCapped: durCapped}
+	sess := &fedSession{g: g, unlock: unlock}
 	ttl := spec.TTL
 	if ttl <= 0 {
 		ttl = DefaultFedTTL
@@ -402,14 +292,16 @@ func (s *Manager) fedContext(resvs map[int]*Reservation) (*FedContext, error) {
 			_, member := s.partOf[pid]
 			s.dirMu.Unlock()
 			out.Slots = append(out.Slots, FedSlot{
-				Key:        slot.Key,
-				Expr:       slot.Expr.String(),
-				Assigned:   slot.Assigned,
-				Shard:      sh,
-				Migratable: slot.Migratable,
-				CrossNode:  slot.Migratable && !member,
-				Client:     p.Client,
-				Expires:    p.Expires,
+				Key:         slot.Key,
+				Expr:        slot.Expr.String(),
+				Assigned:    slot.Assigned,
+				Shard:       sh,
+				Migratable:  slot.Migratable,
+				CrossNode:   slot.Migratable && !member,
+				Client:      p.Client,
+				Expires:     p.Expires,
+				Priority:    p.Priority,
+				Preemptible: p.Preemptible,
 			})
 		}
 		for _, c := range pc.Candidates {
@@ -436,240 +328,56 @@ func (s *Manager) claimFedSession(id string) *fedSession {
 	return sess
 }
 
-// FedConfirm applies the caller's plan through the session's open
-// reservations and commits, mirroring a local pipeline's Phase 2/3:
-// detachments strictly before attachments, confirms in ascending shard
-// order, directory and expiry bookkeeping after the commits. It returns
-// every part this session granted (reserve-time fixed parts plus the
-// pinned grants), in shard order.
+// FedConfirm has the session apply the caller's plan and commit (see
+// grantSession.apply and commit). It returns every part this session
+// granted (reserve-time fixed parts plus the pinned grants), in shard
+// order.
 func (s *Manager) FedConfirm(ctx context.Context, sessionID string, spec FedConfirmSpec) ([]GrantedPart, error) {
 	sess := s.claimFedSession(sessionID)
 	if sess == nil {
 		return nil, fmt.Errorf("%w: fed session %s (expired or finished)", ErrPromiseNotFound, sessionID)
 	}
 	defer sess.unlock()
-	abortAll := func() {
-		for _, sh := range sortedKeys(sess.resvs) {
-			sess.resvs[sh].Abort()
-		}
-	}
+	g := sess.g
+	defer g.abort()
 	// A node that degraded after reserving refuses the commit and hands
 	// the reservations back; the coordinator node sees a plain failed
 	// confirm and compensates as usual.
 	if err := s.health.reject(); err != nil {
-		abortAll()
 		return nil, err
 	}
-	resvFor := func(sh int) (*Reservation, error) {
-		if r := sess.resvs[sh]; r != nil {
-			return r, nil
-		}
-		return nil, fmt.Errorf("core: fed confirm touches unreserved shard %d", sh)
-	}
-	if err := ctx.Err(); err != nil {
-		abortAll()
+	if err := g.apply(spec); err != nil {
 		return nil, err
 	}
-
-	// Classify reallocations: same-shard entries apply in place, cross-
-	// shard entries become internal migrations (the caller plans at node
-	// granularity; shards are this node's business).
-	realloc := make(map[int]map[string]string)
-	var internal []slotMigration
-	for _, ra := range spec.Realloc {
-		pid, _, ok := parseSlotKey(ra.Slot)
-		if !ok {
-			abortAll()
-			return nil, fmt.Errorf("%w: malformed slot key %q", ErrBadRequest, ra.Slot)
+	confirmed, err := g.commit(ctx, func() {
+		// Federated moves: arrivals route through the moved directory
+		// (their id prefix is another node's); departures retire any moved
+		// entry so this node answers not-found and the caller's broadcast
+		// finds the promise at its new home.
+		s.dirMu.Lock()
+		for i, mi := range spec.MigrateIn {
+			s.moved.Store(mi.ID, g.inShards[i])
 		}
-		from, ok := s.ownerShard(pid)
-		if !ok {
-			abortAll()
-			return nil, fmt.Errorf("%w: realloc of unknown promise %s", ErrBadRequest, pid)
+		for _, id := range spec.MigrateOut {
+			s.moved.Delete(id)
 		}
-		to := s.ShardOf(ra.Instance)
-		if from == to {
-			if realloc[from] == nil {
-				realloc[from] = make(map[string]string)
-			}
-			realloc[from][ra.Slot] = ra.Instance
-			continue
+		s.dirMu.Unlock()
+		for i, mi := range spec.MigrateIn {
+			s.logDirMove(mi.ID, g.inShards[i])
 		}
-		internal = append(internal, slotMigration{promiseID: pid, from: from, to: to, inst: ra.Instance})
-	}
-
-	// Detach: slots leaving the node, then slots moving between shards.
-	outRows := make([]*Promise, len(spec.MigrateOut))
-	for i, id := range spec.MigrateOut {
-		sh, ok := s.ownerShard(id)
-		if !ok {
-			abortAll()
-			return nil, fmt.Errorf("%w: migrate-out of unknown promise %s", ErrBadRequest, id)
+		for _, id := range spec.MigrateOut {
+			s.logDirMove(id, -1)
 		}
-		resv, err := resvFor(sh)
-		if err == nil {
-			outRows[i], err = resv.MigrateOut(id)
-		}
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-	outShards := make([]int, len(spec.MigrateOut))
-	for i, id := range spec.MigrateOut {
-		outShards[i], _ = s.ownerShard(id)
-	}
-	internalRows := make([]*Promise, len(internal))
-	for i, mg := range internal {
-		resv, err := resvFor(mg.from)
-		if err == nil {
-			internalRows[i], err = resv.MigrateOut(mg.promiseID)
-		}
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-
-	// Re-back in place.
-	for _, sh := range sortedKeys(realloc) {
-		resv, err := resvFor(sh)
-		if err == nil {
-			err = resv.ApplyRealloc(realloc[sh])
-		}
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-
-	// Attach: internal movers, then slots arriving from other nodes, then
-	// the pinned grants of the new request.
-	for i, mg := range internal {
-		resv, err := resvFor(mg.to)
-		if err == nil {
-			err = resv.MigrateIn(internalRows[i], mg.inst)
-		}
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-	inShards := make([]int, len(spec.MigrateIn))
-	for i, mi := range spec.MigrateIn {
-		expr, err := predicate.Parse(mi.Expr)
-		if err != nil {
-			abortAll()
-			return nil, fmt.Errorf("%w: migrate-in %s: bad expression %q: %v", ErrBadRequest, mi.ID, mi.Expr, err)
-		}
-		sh := s.ShardOf(mi.Instance)
-		inShards[i] = sh
-		row := &Promise{
-			ID:           mi.ID,
-			Client:       mi.Client,
-			Predicates:   []Predicate{{View: PropertyView, Expr: expr, Source: mi.Expr}},
-			Assigned:     []string{""},
-			DelegatedQty: make([]int64, 1),
-			DelegatedID:  make([]string, 1),
-			Expires:      mi.Expires,
-			State:        Active,
-		}
-		resv, err := resvFor(sh)
-		if err == nil {
-			err = resv.MigrateIn(row, mi.Instance)
-		}
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-	for _, pin := range spec.Pinned {
-		sh := s.ShardOf(pin.Instance)
-		resv, err := resvFor(sh)
-		if err == nil {
-			err = resv.GrantPinned([]Predicate{pin.Predicate}, []int{pin.PredIdx}, []string{pin.Instance}, sess.durCapped)
-		}
-		if err != nil {
-			abortAll()
-			return nil, err
-		}
-	}
-
-	// Commit, ascending. Any migration (internal or federated) brackets
-	// the confirms in the seqlock so lock-free readers can tell a racing
-	// re-home from a definitive not-found.
-	migrating := len(internal) > 0 || len(spec.MigrateOut) > 0 || len(spec.MigrateIn) > 0
-	if migrating {
-		s.migSeq.Add(1)
-	}
-	var confirmed []compositePart
-	var parts []GrantedPart
-	for _, sh := range sortedKeys(sess.resvs) {
-		granted := sess.resvs[sh].Granted()
-		if err := sess.resvs[sh].Confirm(); err != nil {
-			if migrating {
-				s.migSeq.Add(1)
-			}
-			abortAll()
-			s.releaseParts(sess.client, confirmed)
-			return nil, err
-		}
-		for _, g := range granted {
-			confirmed = append(confirmed, compositePart{shard: sh, id: g.ID, predIdx: g.PredIdx, expires: g.Expires})
-		}
-		parts = append(parts, granted...)
-	}
-	s.commitMoves(internal)
-	// Federated moves: arrivals route through the moved directory (their
-	// id prefix is another node's); departures retire any moved entry so
-	// this node answers not-found and the caller's broadcast finds the
-	// promise at its new home.
-	s.dirMu.Lock()
-	for i, mi := range spec.MigrateIn {
-		s.moved.Store(mi.ID, inShards[i])
-	}
-	for _, id := range spec.MigrateOut {
-		s.moved.Delete(id)
-	}
-	s.dirMu.Unlock()
-	for i, mi := range spec.MigrateIn {
-		s.logDirMove(mi.ID, inShards[i])
-	}
-	for _, id := range spec.MigrateOut {
-		s.logDirMove(id, -1)
-	}
-	if migrating {
-		s.migSeq.Add(1)
-	}
-
-	now := s.clk.Now()
-	var events []Event
-	for i, mg := range internal {
-		row := internalRows[i]
-		s.shards[mg.to].trackExpiry(row.ID, row.Expires)
-		events = append(events, Event{
-			Type: EventMigrated, PromiseID: row.ID, Client: row.Client,
-			Time: now, Expires: row.Expires,
-			Reason: fmt.Sprintf("slot moved from shard %d to shard %d", mg.from, mg.to),
-		})
-	}
-	for i, mi := range spec.MigrateIn {
-		s.shards[inShards[i]].trackExpiry(mi.ID, mi.Expires)
-		from := mi.FromNode
-		if from == "" {
-			from = "another node"
-		}
-		events = append(events, Event{
-			Type: EventMigrated, PromiseID: mi.ID, Client: mi.Client,
-			Time: now, Expires: mi.Expires,
-			Reason: fmt.Sprintf("slot moved from node %s to node %s", from, strings.TrimSuffix(s.ns, "!")),
-		})
-	}
-	if len(events) > 0 {
-		s.bus.publish(events...)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := s.durSync(); err != nil {
 		return nil, fmt.Errorf("core: commit not durable: %w", err)
+	}
+	parts := make([]GrantedPart, len(confirmed))
+	for i, c := range confirmed {
+		parts[i] = GrantedPart{ID: c.id, PredIdx: c.predIdx, Expires: c.expires}
 	}
 	return parts, nil
 }
@@ -682,9 +390,7 @@ func (s *Manager) FedAbort(sessionID string) {
 	if sess == nil {
 		return
 	}
-	for _, sh := range sortedKeys(sess.resvs) {
-		sess.resvs[sh].Abort()
-	}
+	sess.g.abort()
 	sess.unlock()
 }
 

@@ -19,7 +19,7 @@ import (
 // touches O(R) predicates instead of O(L·R).
 //
 // The augmenting machinery lives in matching.Incremental (shared with the
-// cross-shard coordinator in sharded.go); this adapter contributes the edge
+// joint matcher in jointmatch.go); this adapter contributes the edge
 // oracle — predicate evaluation against instance property environments —
 // and the translation between instance ids and vertex indices.
 type lazyMatcher struct {

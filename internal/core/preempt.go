@@ -139,26 +139,27 @@ func (m *shard) preemptPromise(tx *txn.Tx, st *execState, p *Promise, by string,
 	return nil
 }
 
-// preemptFloat is the coordinator-side spot-capacity fallback for the
-// joint property match: when solveFloatAssignment finds no assignment for
-// a positive-tier request, the coordinator selects a minimal victim set
-// across every reserved shard and applies it through the open
-// reservations, so the revocations commit atomically with the grant — or
-// roll back with it, restoring every victim.
+// preempt is the session's spot-capacity fallback for the joint property
+// match: when solve finds no assignment for a positive-tier request, the
+// session selects a minimal victim set across every reserved shard and
+// applies it through the open reservations, so the revocations commit
+// atomically with the grant — or roll back with it, restoring every
+// victim.
 //
 // Trials are non-mutating from the pipeline's point of view: each trial
 // revokes its candidate set under per-shard transaction savepoints,
-// re-solves the joint match, and rolls the savepoints back. The caller
+// re-solves the joint match, and rolls the savepoints back. The session
 // must have reserved every shard (the victims that can restore
 // feasibility may hold instances anywhere), which is why grantCross
-// escalates to the full lock and reservation set first.
-func (s *Manager) preemptFloat(pr PromiseRequest, resvs map[int]*Reservation, floating []floatPred) (map[int]*shardFloatPlan, []slotMigration, bool, error) {
+// escalates to the full lock set and reserveRest first.
+func (g *grantSession) preempt() (*JointPlan, bool, error) {
+	s, resvs, prio := g.s, g.resvs, g.spec.Priority
 	victimShard := make(map[string]int)
 	var cands []preemption.Candidate
 	for _, sh := range sortedKeys(resvs) {
-		cs, _, err := s.shards[sh].preemptCandidates(resvs[sh].tx, pr.Priority, nil)
+		cs, _, err := s.shards[sh].preemptCandidates(resvs[sh].tx, prio, nil)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		for _, c := range cs {
 			victimShard[c.ID] = sh
@@ -166,7 +167,7 @@ func (s *Manager) preemptFloat(pr PromiseRequest, resvs map[int]*Reservation, fl
 		cands = append(cands, cs...)
 	}
 	if len(cands) == 0 {
-		return nil, nil, false, nil
+		return nil, false, nil
 	}
 	trial := func(set []preemption.Candidate) (bool, error) {
 		marks := make(map[int]txn.Savepoint)
@@ -189,7 +190,7 @@ func (s *Manager) preemptFloat(pr PromiseRequest, resvs map[int]*Reservation, fl
 					return false, err
 				}
 			}
-			_, _, ok, err := s.solveFloatAssignment(resvs, pr, floating, s.mode)
+			_, ok, err := g.solve()
 			return ok, err
 		}
 		ok, err := apply()
@@ -202,22 +203,23 @@ func (s *Manager) preemptFloat(pr PromiseRequest, resvs map[int]*Reservation, fl
 	}
 	victims, err := preemption.Select(cands, trial)
 	if err != nil || victims == nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	byShard := make(map[int][]string)
 	for _, c := range victims {
 		byShard[victimShard[c.ID]] = append(byShard[victimShard[c.ID]], c.ID)
 	}
 	for _, sh := range sortedKeys(byShard) {
-		if err := resvs[sh].Preempt(byShard[sh], pr.Priority); err != nil {
-			return nil, nil, false, err
+		if err := resvs[sh].Preempt(byShard[sh], prio); err != nil {
+			return nil, false, err
 		}
 	}
-	plans, migs, ok, err := s.solveFloatAssignment(resvs, pr, floating, s.mode)
+	g.preempted = true
+	plan, ok, err := g.solve()
 	if err != nil || !ok {
 		// The oracle accepted this exact set; fail closed so the pipeline
 		// aborts and the victims spring back.
-		return nil, nil, false, err
+		return nil, false, err
 	}
-	return plans, migs, true, nil
+	return plan, true, nil
 }

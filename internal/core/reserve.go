@@ -13,20 +13,20 @@ import (
 
 // This file is the shard-side half of the two-phase reserve → confirm/abort
 // grant pipeline. A cross-shard promise request cannot run as one store
-// transaction (each shard owns a private store), so the coordinator in
-// sharded.go opens one Reservation per involved shard under the ordered
+// transaction (each shard owns a private store), so the grant session in
+// session.go opens one Reservation per involved shard under the ordered
 // shard lock set: each shard tentatively applies its slice of the request —
 // releases first, then grants — inside a transaction it keeps open. The
-// coordinator then either Confirms every reservation (commit) or Aborts
-// them all (rollback), so concurrent clients never observe a cross-shard
-// grant half-applied, and a released promise springs back untouched when
-// the grant that would have consumed it fails on another shard.
+// session then either Confirms every reservation (commit) or Aborts them
+// all (rollback), so concurrent clients never observe a cross-shard grant
+// half-applied, and a released promise springs back untouched when the
+// grant that would have consumed it fails on another shard.
 //
 // Because releases apply inside the open transaction before planning, a
 // §4-style upgrade ("release 5, promise 8 from the freed 5") works across
 // shards exactly as it does on the single store: the freed capacity is
 // visible to the shard's own planner and, through PropertyContext, to the
-// coordinator's global property matcher.
+// session's joint property matcher.
 //
 // The protocol is safe without extra locking only because the caller holds
 // the shard mutex of every reservation for the pipeline's whole duration —

@@ -45,14 +45,16 @@ type FedGranted struct {
 
 // FedWireSlot is one exported property slot.
 type FedWireSlot struct {
-	Key        string `xml:"key,attr"`
-	Expr       string `xml:"expr,attr"`
-	Assigned   string `xml:"assigned,attr,omitempty"`
-	Shard      int    `xml:"shard,attr"`
-	Migratable bool   `xml:"migratable,attr,omitempty"`
-	CrossNode  bool   `xml:"cross-node,attr,omitempty"`
-	Client     string `xml:"client,attr"`
-	Expires    string `xml:"expires,attr"`
+	Key         string `xml:"key,attr"`
+	Expr        string `xml:"expr,attr"`
+	Assigned    string `xml:"assigned,attr,omitempty"`
+	Shard       int    `xml:"shard,attr"`
+	Migratable  bool   `xml:"migratable,attr,omitempty"`
+	CrossNode   bool   `xml:"cross-node,attr,omitempty"`
+	Client      string `xml:"client,attr"`
+	Expires     string `xml:"expires,attr"`
+	Priority    int    `xml:"priority,attr,omitempty"`
+	Preemptible bool   `xml:"preemptible,attr,omitempty"`
 }
 
 // FedProp is one instance property (value in predicate source syntax).
@@ -96,12 +98,14 @@ type FedWireRealloc struct {
 
 // FedWireMigrateIn re-homes a slot arriving from another node.
 type FedWireMigrateIn struct {
-	ID       string `xml:"id,attr"`
-	Client   string `xml:"client,attr"`
-	Expr     string `xml:"expr,attr"`
-	Expires  string `xml:"expires,attr"`
-	Instance string `xml:"instance,attr"`
-	From     string `xml:"from,attr,omitempty"`
+	ID          string `xml:"id,attr"`
+	Client      string `xml:"client,attr"`
+	Expr        string `xml:"expr,attr"`
+	Expires     string `xml:"expires,attr"`
+	Instance    string `xml:"instance,attr"`
+	From        string `xml:"from,attr,omitempty"`
+	Priority    int    `xml:"priority,attr,omitempty"`
+	Preemptible bool   `xml:"preemptible,attr,omitempty"`
 }
 
 // FedWirePinned grants one floating predicate onto an instance of this
@@ -241,14 +245,16 @@ func contextToWire(fc *core.FedContext) *FedWireContext {
 	out := &FedWireContext{}
 	for _, s := range fc.Slots {
 		out.Slots = append(out.Slots, FedWireSlot{
-			Key:        s.Key,
-			Expr:       s.Expr,
-			Assigned:   s.Assigned,
-			Shard:      s.Shard,
-			Migratable: s.Migratable,
-			CrossNode:  s.CrossNode,
-			Client:     s.Client,
-			Expires:    s.Expires.UTC().Format(time.RFC3339Nano),
+			Key:         s.Key,
+			Expr:        s.Expr,
+			Assigned:    s.Assigned,
+			Shard:       s.Shard,
+			Migratable:  s.Migratable,
+			CrossNode:   s.CrossNode,
+			Client:      s.Client,
+			Expires:     s.Expires.UTC().Format(time.RFC3339Nano),
+			Priority:    s.Priority,
+			Preemptible: s.Preemptible,
 		})
 	}
 	for _, c := range fc.Candidates {
@@ -272,14 +278,16 @@ func contextFromWire(w *FedWireContext) (*core.FedContext, error) {
 			return nil, err
 		}
 		out.Slots = append(out.Slots, core.FedSlot{
-			Key:        s.Key,
-			Expr:       s.Expr,
-			Assigned:   s.Assigned,
-			Shard:      s.Shard,
-			Migratable: s.Migratable,
-			CrossNode:  s.CrossNode,
-			Client:     s.Client,
-			Expires:    exp,
+			Key:         s.Key,
+			Expr:        s.Expr,
+			Assigned:    s.Assigned,
+			Shard:       s.Shard,
+			Migratable:  s.Migratable,
+			CrossNode:   s.CrossNode,
+			Client:      s.Client,
+			Expires:     exp,
+			Priority:    s.Priority,
+			Preemptible: s.Preemptible,
 		})
 	}
 	for _, wc := range w.Candidates {
@@ -354,12 +362,14 @@ func ConfirmToWire(session string, spec core.FedConfirmSpec) *ConfirmRequest {
 	}
 	for _, mi := range spec.MigrateIn {
 		out.MigrateIn = append(out.MigrateIn, FedWireMigrateIn{
-			ID:       mi.ID,
-			Client:   mi.Client,
-			Expr:     mi.Expr,
-			Expires:  mi.Expires.UTC().Format(time.RFC3339Nano),
-			Instance: mi.Instance,
-			From:     mi.FromNode,
+			ID:          mi.ID,
+			Client:      mi.Client,
+			Expr:        mi.Expr,
+			Expires:     mi.Expires.UTC().Format(time.RFC3339Nano),
+			Instance:    mi.Instance,
+			From:        mi.FromNode,
+			Priority:    mi.Priority,
+			Preemptible: mi.Preemptible,
 		})
 	}
 	for _, pin := range spec.Pinned {
@@ -384,12 +394,14 @@ func ConfirmFromWire(w *ConfirmRequest) (core.FedConfirmSpec, error) {
 			return spec, err
 		}
 		spec.MigrateIn = append(spec.MigrateIn, core.FedMigrateIn{
-			ID:       mi.ID,
-			Client:   mi.Client,
-			Expr:     mi.Expr,
-			Expires:  exp,
-			Instance: mi.Instance,
-			FromNode: mi.From,
+			ID:          mi.ID,
+			Client:      mi.Client,
+			Expr:        mi.Expr,
+			Expires:     exp,
+			Instance:    mi.Instance,
+			FromNode:    mi.From,
+			Priority:    mi.Priority,
+			Preemptible: mi.Preemptible,
 		})
 	}
 	for _, pin := range w.Pinned {
