@@ -59,8 +59,13 @@ func (m *shard) Audit() (*AuditReport, error) {
 		report.Problems = append(report.Problems, fmt.Sprintf(format, args...))
 	}
 
-	// 1. Escrow invariant per pool.
-	if err := m.ledger.CheckAllInvariants(snap); err != nil {
+	// 1. Escrow invariant per pool. Every escrow row is read once, here;
+	// steps 3 and 4b judge reservations against the same holdings.
+	holdings, err := m.ledger.Holdings(snap)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.ledger.CheckHoldings(snap, holdings); err != nil {
 		problem("escrow: %v", err)
 	}
 	// 2. Tag/instance agreement.
@@ -73,7 +78,7 @@ func (m *shard) Audit() (*AuditReport, error) {
 	// wall-clock: a deadline that has passed without its expiry commit yet
 	// leaves the holds in place, and they are not leaks.
 	var promises []Promise
-	err := snap.Scan(TablePromises, func(_ string, row txn.Row) bool {
+	err = snap.Scan(TablePromises, func(_ string, row txn.Row) bool {
 		p := row.(*promiseRow).p
 		if p.State == Active {
 			promises = append(promises, p)
@@ -100,10 +105,7 @@ func (m *shard) Audit() (*AuditReport, error) {
 				}
 				set[slot] = true
 				// Local reservation + delegated quantity must cover Qty.
-				q, err := m.ledger.Reserved(snap, pred.Pool, slot)
-				if err != nil {
-					return nil, err
-				}
+				q := holdings.Reserved(pred.Pool, slot)
 				deleg := int64(0)
 				if i < len(p.DelegatedQty) {
 					deleg = p.DelegatedQty[i]
@@ -117,7 +119,7 @@ func (m *shard) Audit() (*AuditReport, error) {
 				if pred.View == NamedView {
 					expr = nil
 				}
-				if err := m.slotHealthy(snap, p.Assigned[i], slot, expr); err != nil {
+				if err := m.slotHealthy(snap, p.assignedAt(i), slot, expr); err != nil {
 					problem("promise %s slot %d: %v", p.ID, i, err)
 				}
 			}
@@ -141,17 +143,10 @@ func (m *shard) Audit() (*AuditReport, error) {
 		return nil, err
 	}
 	for _, pool := range pools {
-		total, err := m.ledger.TotalReserved(snap, pool.ID)
-		if err != nil {
-			return nil, err
-		}
+		total := holdings.Total(pool.ID)
 		var live int64
 		for slot := range liveAnonSlots[pool.ID] {
-			q, err := m.ledger.Reserved(snap, pool.ID, slot)
-			if err != nil {
-				return nil, err
-			}
-			live += q
+			live += holdings.Reserved(pool.ID, slot)
 		}
 		if total != live {
 			problem("escrow: pool %q has %d reserved but only %d owned by live promises",

@@ -212,8 +212,8 @@ func promContribOf(p *Promise) promContrib {
 		if pred.View == PropertyView {
 			pc.propSlots++
 		}
-		if pred.View != AnonymousView && i < len(p.Assigned) && p.Assigned[i] != "" {
-			pc.assigned = append(pc.assigned, p.Assigned[i])
+		if inst := p.assignedAt(i); pred.View != AnonymousView && inst != "" {
+			pc.assigned = append(pc.assigned, inst)
 		}
 	}
 	return pc

@@ -86,6 +86,17 @@ type Promise struct {
 	Preemptible bool
 }
 
+// assignedAt returns the instance backing predicate i, or "" when the row
+// records none — an anonymous predicate, or an Assigned slice shorter than
+// Predicates (a damaged row), which checks then report as "no assigned
+// instance" instead of panicking.
+func (p *Promise) assignedAt(i int) string {
+	if i < len(p.Assigned) {
+		return p.Assigned[i]
+	}
+	return ""
+}
+
 // slotKey identifies one predicate of one promise; escrow reservations and
 // soft-lock holders are keyed by slot so two predicates of one promise
 // never share backing resources.

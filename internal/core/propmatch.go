@@ -127,10 +127,7 @@ func (pm *propMatcher) updatePromiseSlots(pid string, p *Promise) {
 		if pred.View != PropertyView {
 			continue
 		}
-		assigned := ""
-		if i < len(p.Assigned) {
-			assigned = p.Assigned[i]
-		}
+		assigned := p.assignedAt(i)
 		se := &slotEntry{
 			key:      slotKey(pid, i),
 			expr:     pred.Expr,

@@ -562,10 +562,7 @@ func (m *shard) releasePromise(tx *txn.Tx, st *execState, p *Promise, terminal S
 				}
 			}
 		case NamedView, PropertyView:
-			inst := ""
-			if i < len(p.Assigned) {
-				inst = p.Assigned[i]
-			}
+			inst := p.assignedAt(i)
 			if inst == "" {
 				continue
 			}

@@ -240,35 +240,102 @@ func (l *Ledger) Unreserved(r txn.Reader, pool string) (int64, error) {
 	return p.OnHand - total, nil
 }
 
-// CheckInvariant verifies sum(reserved) <= on-hand for pool; promise
-// checking calls this after every application action (§8 "a check is
-// performed after every client-requested operation has completed").
+// CheckInvariant verifies sum(reserved) <= on-hand for pool.
 func (l *Ledger) CheckInvariant(r txn.Reader, pool string) error {
-	u, err := l.Unreserved(r, pool)
+	e, err := l.load(r, pool)
 	if err != nil {
 		return err
 	}
-	if u < 0 {
+	return l.check(r, pool, e.total())
+}
+
+// check verifies reserved <= pool's quantity on hand.
+func (l *Ledger) check(r txn.Reader, pool string, reserved int64) error {
+	p, err := l.rm.Pool(r, pool)
+	if err != nil {
+		return err
+	}
+	if u := p.OnHand - reserved; u < 0 {
 		return fmt.Errorf("%w: pool %q overdrawn by %d", ErrInsufficient, pool, -u)
 	}
 	return nil
 }
 
-// CheckAllInvariants verifies the escrow invariant for every pool that has
-// reservations.
-func (l *Ledger) CheckAllInvariants(r txn.Reader) error {
-	var pools []string
-	err := r.Scan(Table, func(key string, _ txn.Row) bool {
-		pools = append(pools, key)
-		return true
-	})
-	if err != nil {
-		return err
-	}
+// CheckPools verifies the escrow invariant for each of pools that has an
+// escrow row, in the order given, and returns the first violation. Pools
+// without a row are skipped, as CheckAllInvariants skips them, so when only
+// these pools can have changed since the invariant last held, CheckPools
+// over them sorted reaches CheckAllInvariants' verdict. The promise
+// manager's post-action check (§8 "a check is performed after every
+// client-requested operation has completed") runs it over the pools the
+// action's transaction wrote.
+func (l *Ledger) CheckPools(r txn.Reader, pools []string) error {
 	for _, pool := range pools {
-		if err := l.CheckInvariant(r, pool); err != nil {
+		row, err := r.Get(Table, pool)
+		if errors.Is(err, txn.ErrNotFound) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		if err := l.check(r, pool, row.(*entry).total()); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Holdings is every escrow row as of one read, taken in a single Scan:
+// what an audit needs to judge all pools without re-reading a row.
+type Holdings struct {
+	pools    []string                    // pools with an escrow row, in key order
+	reserved map[string]map[string]int64 // pool -> holder -> quantity
+}
+
+// Holdings reads every escrow row once.
+func (l *Ledger) Holdings(r txn.Reader) (*Holdings, error) {
+	h := &Holdings{reserved: make(map[string]map[string]int64)}
+	err := r.Scan(Table, func(key string, row txn.Row) bool {
+		h.pools = append(h.pools, key)
+		// Scan hands over a clone, so its map is ours to keep.
+		h.reserved[key] = row.(*entry).reserved
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// Reserved returns the quantity holder has reserved in pool.
+func (h *Holdings) Reserved(pool, holder string) int64 { return h.reserved[pool][holder] }
+
+// Total returns the sum of all reservations against pool.
+func (h *Holdings) Total(pool string) int64 {
+	var t int64
+	for _, q := range h.reserved[pool] {
+		t += q
+	}
+	return t
+}
+
+// CheckHoldings verifies the escrow invariant for every pool in h, in key
+// order, reading each pool row once, and returns the first violation.
+func (l *Ledger) CheckHoldings(r txn.Reader, h *Holdings) error {
+	for _, pool := range h.pools {
+		if err := l.check(r, pool, h.Total(pool)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CheckAllInvariants verifies the escrow invariant for every pool that has
+// an escrow row.
+func (l *Ledger) CheckAllInvariants(r txn.Reader) error {
+	h, err := l.Holdings(r)
+	if err != nil {
+		return err
+	}
+	return l.CheckHoldings(r, h)
 }

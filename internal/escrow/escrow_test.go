@@ -209,6 +209,62 @@ func TestCheckAllInvariantsClean(t *testing.T) {
 	}
 }
 
+func TestCheckPoolsSkipsPoolsWithoutEscrowRow(t *testing.T) {
+	l, rm, store := newLedger(t)
+	seedPool(t, rm, store, "a", 5)
+	seedPool(t, rm, store, "b", 5)
+	seedPool(t, rm, store, "c", 5)
+	tx := store.Begin(txn.Block)
+	defer tx.Commit()
+	_ = l.Reserve(tx, "a", "x", 4)
+	_ = l.Reserve(tx, "b", "y", 4)
+	_, _ = rm.AdjustPool(tx, "a", -2)
+	_, _ = rm.AdjustPool(tx, "b", -3)
+	// "c" has no escrow row and "missing" no pool row either: both are
+	// skipped, as the full scan skips them. The first overdrawn pool in
+	// the given order is reported.
+	err := l.CheckPools(tx, []string{"c", "missing", "b", "a"})
+	if !errors.Is(err, ErrInsufficient) || err.Error() != `escrow: insufficient unreserved quantity: pool "b" overdrawn by 2` {
+		t.Fatalf("CheckPools: %v", err)
+	}
+	if err := l.CheckPools(tx, []string{"c", "missing"}); err != nil {
+		t.Fatalf("CheckPools over pools without escrow rows: %v", err)
+	}
+	if got, want := l.CheckAllInvariants(tx).Error(), `escrow: insufficient unreserved quantity: pool "a" overdrawn by 1`; got != want {
+		t.Fatalf("CheckAllInvariants: %q, want %q", got, want)
+	}
+}
+
+func TestHoldingsMatchLedgerReads(t *testing.T) {
+	l, rm, store := newLedger(t)
+	seedPool(t, rm, store, "a", 10)
+	seedPool(t, rm, store, "b", 10)
+	tx := store.Begin(txn.Block)
+	defer tx.Commit()
+	_ = l.Reserve(tx, "a", "x", 3)
+	_ = l.Reserve(tx, "a", "y", 4)
+	_ = l.Reserve(tx, "b", "x", 1)
+	h, err := l.Holdings(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pool := range []string{"a", "b", "none"} {
+		total, _ := l.TotalReserved(tx, pool)
+		if h.Total(pool) != total {
+			t.Fatalf("Holdings.Total(%s) = %d, ledger says %d", pool, h.Total(pool), total)
+		}
+		for _, holder := range []string{"x", "y", "z"} {
+			q, _ := l.Reserved(tx, pool, holder)
+			if h.Reserved(pool, holder) != q {
+				t.Fatalf("Holdings.Reserved(%s, %s) = %d, ledger says %d", pool, holder, h.Reserved(pool, holder), q)
+			}
+		}
+	}
+	if err := l.CheckHoldings(tx, h); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAbortRollsBackReservations(t *testing.T) {
 	l, rm, store := newLedger(t)
 	seedPool(t, rm, store, "w", 10)

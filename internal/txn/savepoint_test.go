@@ -129,3 +129,50 @@ func TestSavepointDeleteRestored(t *testing.T) {
 	}
 	_ = tx.Commit()
 }
+
+func TestTouchedEmptyOnFreshTx(t *testing.T) {
+	s := newTestStore(t, "t")
+	tx := s.Begin(Block)
+	defer tx.Abort()
+	if got := tx.Touched(); len(got) != 0 {
+		t.Fatalf("fresh tx touched %v, want nothing", got)
+	}
+}
+
+func TestTouchedDedupes(t *testing.T) {
+	s := newTestStore(t, "t", "u")
+	tx := s.Begin(Block)
+	defer tx.Abort()
+	_ = tx.Put("t", "a", &intRow{n: 1})
+	_ = tx.Put("u", "a", &intRow{n: 2})
+	_ = tx.Put("t", "a", &intRow{n: 3})
+	_ = tx.Delete("t", "a")
+	_ = tx.Put("t", "b", &intRow{n: 4})
+	want := []TableKey{{"t", "a"}, {"u", "a"}, {"t", "b"}}
+	got := tx.Touched()
+	if len(got) != len(want) {
+		t.Fatalf("touched %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("touched %v, want %v", got, want)
+		}
+	}
+}
+
+func TestTouchedDropsRolledBackKeys(t *testing.T) {
+	s := newTestStore(t, "t")
+	tx := s.Begin(Block)
+	defer tx.Abort()
+	_ = tx.Put("t", "kept", &intRow{n: 1})
+	mark := tx.Savepoint()
+	_ = tx.Put("t", "dropped", &intRow{n: 2})
+	_ = tx.Put("t", "kept", &intRow{n: 3})
+	if err := tx.RollbackTo(mark); err != nil {
+		t.Fatal(err)
+	}
+	got := tx.Touched()
+	if len(got) != 1 || got[0] != (TableKey{"t", "kept"}) {
+		t.Fatalf("touched after rollback %v, want [{t kept}]", got)
+	}
+}

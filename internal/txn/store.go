@@ -218,6 +218,12 @@ func (t *Tx) Scan(tbl string, fn func(key string, row Row) bool) error {
 // exactly the committed state.
 func (t *Tx) Writes() int { return len(t.undo) }
 
+// Touched returns the distinct (table, key) pairs the transaction's writes
+// currently in effect changed, in first-write order. Writes undone by
+// RollbackTo drop out, so the result is exactly what Commit would publish;
+// a fresh transaction touches nothing.
+func (t *Tx) Touched() []TableKey { return touchedKeys(t.undo) }
+
 // recordUndo appends the pre-image of (tbl, key).
 func (t *Tx) recordUndo(tab *table, tbl, key string) {
 	var prev Row
