@@ -68,14 +68,14 @@ func BenchmarkLazyMatcherSeeding(b *testing.B) {
 
 	b.Run("seeded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := newLazyMatcher(exprs, cands).solve(initial); !ok {
+			if _, ok := lazyMatch(exprs, cands, initial); !ok {
 				b.Fatal("unsaturated")
 			}
 		}
 	})
 	b.Run("unseeded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := newLazyMatcher(exprs, cands).solve(empty); !ok {
+			if _, ok := lazyMatch(exprs, cands, empty); !ok {
 				b.Fatal("unsaturated")
 			}
 		}

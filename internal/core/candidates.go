@@ -57,11 +57,11 @@ type instContrib struct {
 	// tentative distinguishes the two hostable states (available vs held
 	// by an active property slot). The counts don't care, but the
 	// persistent matcher (propmatch.go) serves the instance's row and
-	// tentative flag directly and caches predicate evaluations against its
-	// environment — so an Available ↔ property-held transition must count
-	// as a contribution change even though every count stays put, or the
-	// matcher would keep a stale row pointer and stale status-dependent
-	// edge verdicts.
+	// tentative flag directly — so an Available ↔ property-held transition
+	// must count as a contribution change even though every count stays
+	// put, or the matcher would keep a stale row pointer (and a predicate
+	// on the status builtin would read a stale status) and a stale
+	// tentative flag.
 	tentative   bool
 	pinnedUntil time.Time
 	props       map[string]predicate.Value
@@ -120,7 +120,7 @@ type candidateIndex struct {
 	// dirty names the properties whose counts changed since the last
 	// publication, so candPublish copies one property's value map per
 	// touched property instead of the whole ByProp tree (per-property
-	// copy-on-write, mirroring the store snapshots' bucketed COW).
+	// copy-on-write, like the store snapshots' copy-on-write tree).
 	dirty   map[string]struct{}
 	summary atomic.Pointer[candSummary]
 }

@@ -333,7 +333,7 @@ func (m *shard) planInner(ctx context.Context, tx *txn.Tx, st *execState, preds 
 	// every instance that is free, freed by the releases, or tentatively
 	// held by a property slot (§5 satisfiability check + tentative
 	// allocation). Existing assignments seed the matching; only new or
-	// displaced slots need augmenting paths (see lazymatch.go).
+	// displaced slots need augmenting paths (see lazyMatch).
 	var right []*resource.Instance
 	for _, in := range instances {
 		if _, c := claimed[in.ID]; c {
@@ -359,7 +359,7 @@ func (m *shard) planInner(ctx context.Context, tx *txn.Tx, st *execState, preds 
 		exprs = append(exprs, preds[i].Expr)
 		initial = append(initial, "")
 	}
-	assignment, ok := newLazyMatcher(exprs, right).solve(initial)
+	assignment, ok := lazyMatch(exprs, right, initial)
 	if !ok {
 		return nil, "property predicates not jointly satisfiable with outstanding promises", nil, nil
 	}
@@ -678,7 +678,7 @@ func (m *shard) rematchProperties(tx *txn.Tx) error {
 		exprs[i] = s.expr
 		initial[i] = s.assigned
 	}
-	assignment, ok := newLazyMatcher(exprs, right).solve(initial)
+	assignment, ok := lazyMatch(exprs, right, initial)
 	if !ok {
 		return fmt.Errorf("property promises no longer jointly satisfiable")
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"strconv"
@@ -288,19 +287,31 @@ func New(cfg Config) (*Manager, error) {
 		if err != nil {
 			return nil, err
 		}
-		// A failed deadline pass re-arms itself on a backoff; the counter is
-		// how the failure surfaces (Stats.ExpiryErrors) — there is no caller
-		// to return the error to, nor to report a failed sync of the pass's
-		// events to.
-		sh.exp.fire = func() {
-			if err := sh.expireDue(); err != nil {
-				sh.metrics.expiryErrors.Inc()
-			}
-			_ = s.durSync()
-		}
+		sh.exp.fire = func() { s.expireDue(sh) }
 		s.shards = append(s.shards, sh)
 	}
 	return s, nil
+}
+
+// expireDue is a shard's alarm callback. The deadline pass covers every
+// shard with an entry due, in shard order, whichever shard's alarm fired:
+// expiries one clock instant reaches then publish in one order however the
+// shards' alarms happened to be armed — a recovered engine re-arms them
+// in shard order, a long-running one in the order its history left them.
+// A failed pass re-arms itself on a backoff; the counter is how the
+// failure surfaces (Stats.ExpiryErrors) — there is no caller to return
+// the error to, nor to report a failed sync of the pass's events to.
+func (s *Manager) expireDue(fired *shard) {
+	now := s.clk.Now()
+	for _, sh := range s.shards {
+		if sh != fired && len(sh.exp.dueEntries(now)) == 0 {
+			continue
+		}
+		if err := sh.expireDue(); err != nil {
+			sh.metrics.expiryErrors.Inc()
+		}
+	}
+	_ = s.durSync()
 }
 
 // Watch subscribes to lifecycle events across every shard, merged into one
@@ -315,9 +326,19 @@ func (s *Manager) NumShards() int { return len(s.shards) }
 // ShardOf returns the shard index owning the pool or instance with the
 // given id — exposed so tools and tests can place resources deliberately.
 func (s *Manager) ShardOf(resourceID string) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(resourceID))
-	return int(h.Sum32() % uint32(len(s.shards)))
+	return int(fnv1a(fnvOffset, resourceID) % uint32(len(s.shards)))
+}
+
+// fnvOffset starts an FNV-1a hash; fnv1a folds str into h. Inlined rather
+// than hash/fnv so hashing a string allocates nothing.
+const fnvOffset = 2166136261
+
+func fnv1a(h uint32, str string) uint32 {
+	for i := 0; i < len(str); i++ {
+		h ^= uint32(str[i])
+		h *= 16777619
+	}
+	return h
 }
 
 // ownerShard maps a promise id back to its shard: the moved directory for
@@ -884,14 +905,21 @@ func (s *Manager) grantCross(ctx context.Context, client string, pr PromiseReque
 	}
 
 	defer g.abort()
-	if rej, err := g.reserve(ctx, locked); rej != nil || err != nil {
-		if err != nil {
-			return PromiseResponse{}, err
-		}
-		return reject(*rej)
+	plan, err := g.freeHost(ctx, locked)
+	if err != nil {
+		return PromiseResponse{}, err
 	}
-	plan := &JointPlan{}
-	if len(g.floating) > 0 {
+	shortcut := plan != nil
+	if !shortcut {
+		if rej, err := g.reserve(ctx, locked); rej != nil || err != nil {
+			if err != nil {
+				return PromiseResponse{}, err
+			}
+			return reject(*rej)
+		}
+		plan = &JointPlan{}
+	}
+	if len(g.floating) > 0 && !shortcut {
 		var ok bool
 		if plan, ok, err = g.solve(); err != nil {
 			return PromiseResponse{}, err

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/matching"
 	"repro/internal/predicate"
+	"repro/internal/resource"
 )
 
 // This file is the joint property matcher shared by the cross-shard grant
@@ -36,8 +38,13 @@ import (
 //
 // Both passes are seeded with the current assignments, so by the
 // augmenting-path theorem only the new predicates (and any slots they
-// displace) pay for path searches, and edges are evaluated lazily via
-// matching.Incremental.
+// displace) pay for path searches. matching.SolveSeeded evaluates edges on
+// demand over per-vertex candidate lists that are built on first use: a
+// slot scans only the candidates its pass lets it reach, and a shard that
+// supplied its persistent matcher image (propmatch.go) narrows that to the
+// instances its per-value index serves. Image slots also arrive with their
+// predicates compiled, so a grant that escalates to the joint match
+// recompiles nothing and allocates no slots × candidates table.
 
 // JointSlot is one existing property slot: a left vertex of the joint
 // match.
@@ -83,8 +90,23 @@ type JointPlan struct {
 // request. In FirstFitMode existing slots never move and each new
 // predicate takes the first free satisfying instance in node, shard, id
 // order. ok is false when the predicates are not jointly satisfiable with
-// the outstanding slots.
+// the outstanding slots. Every candidate is scanned; the grant session's
+// solve also hands over each shard's matcher image (solveJoint).
 func SolveJoint(slots []JointSlot, cands []JointCand, preds []Predicate, predIdx []int, mode PropertyMode) (plan *JointPlan, ok bool) {
+	return solveJoint(slots, cands, nil, preds, predIdx, mode)
+}
+
+// jointPlace is a slot's or candidate's (node, shard) home.
+type jointPlace struct {
+	node  string
+	shard int
+}
+
+// solveJoint is SolveJoint with optional per-placement matcher images. An
+// image must mirror exactly the candidates its placement contributes (a
+// reservation that has written nothing; see Reservation.PropertyContext),
+// because its index narrows which of them a left vertex scans.
+func solveJoint(slots []JointSlot, cands []JointCand, images map[jointPlace]*propMatcher, preds []Predicate, predIdx []int, mode PropertyMode) (plan *JointPlan, ok bool) {
 	candIdx := make(map[string]int, len(cands)) // instance id -> right index
 	var kept []JointCand                        // cands without duplicates, once one is seen
 	for i := range cands {
@@ -108,35 +130,31 @@ func SolveJoint(slots []JointSlot, cands []JointCand, preds []Predicate, predIdx
 
 	// edge decides predicate satisfaction alone; the passes add the
 	// placement constraints for existing slots. Each left vertex's
-	// predicate is compiled once (propmatch.go) so the common shapes
-	// evaluate straight off the property map; only shapes the compiler
-	// refuses (references to the id/status builtins) pay for full Eval.
+	// predicate is compiled once (propmatch.go) — or arrives compiled
+	// from a shard's image — so the common shapes evaluate straight off
+	// the property map.
 	nExist := len(slots)
-	exprs := make([]predicate.Expr, nExist+len(preds))
-	compiled := make([]compiledPred, nExist+len(preds))
+	nLeft := nExist + len(preds)
+	exprs := make([]predicate.Expr, nLeft)
+	compiled := make([]compiledPred, nLeft)
 	for i := range slots {
 		exprs[i] = slots[i].Expr
+		if compiled[i] = slots[i].compiled; compiled[i] == nil {
+			compiled[i] = compilePred(slots[i].Expr)
+		}
 	}
 	for k, p := range preds {
 		if p.View != NamedView {
 			exprs[nExist+k] = p.Expr
-		}
-	}
-	for l, e := range exprs {
-		if e != nil {
-			compiled[l] = compilePred(e)
+			compiled[nExist+k] = compilePred(p.Expr)
 		}
 	}
 	edge := func(l, r int) bool {
 		inst := cands[r].Instance
-		if exprs[l] == nil {
+		if compiled[l] == nil {
 			return inst.ID == preds[l-nExist].Instance
 		}
-		if c := compiled[l]; c != nil {
-			return c(inst.Props)
-		}
-		ok, err := predicate.Eval(exprs[l], inst.Env())
-		return err == nil && ok
+		return compiled[l](inst)
 	}
 
 	plan = &JointPlan{Realloc: make(map[string][]FedRealloc), Pinned: make(map[string][]FedPinned)}
@@ -180,7 +198,96 @@ func SolveJoint(slots []JointSlot, cands []JointCand, preds []Predicate, predIdx
 		return plan, true
 	}
 
-	seed := make([]int, nExist+len(preds))
+	// Group the right side by placement, in candidate order.
+	var places []jointPlace
+	placeOf := make([]int, len(cands)) // right index -> index in places
+	var byPlace [][]int
+	for r := range cands {
+		p := jointPlace{cands[r].Node, cands[r].Shard}
+		pi := len(places) - 1
+		if pi < 0 || places[pi] != p {
+			pi = slices.Index(places, p)
+		}
+		if pi < 0 {
+			pi = len(places)
+			places = append(places, p)
+			byPlace = append(byPlace, nil)
+		}
+		placeOf[r] = pi
+		byPlace[pi] = append(byPlace[pi], r)
+	}
+	// A pass's scope says which placements an existing slot may land on;
+	// new predicates may land anywhere.
+	type scope func(l int, p jointPlace) bool
+	home := func(l int, p jointPlace) bool {
+		return p.node == slots[l].Node && p.shard == slots[l].Shard
+	}
+	// roam is pass 2's scope: migratable slots roam their node, cross-node
+	// slots roam everywhere.
+	roam := func(l int, p jointPlace) bool {
+		sl := &slots[l]
+		switch {
+		case !sl.Migratable:
+			return home(l, p)
+		case !sl.CrossNode:
+			return p.node == sl.Node
+		}
+		return true
+	}
+	admits := func(in scope, l, r int) bool {
+		return l >= nExist || in(l, places[placeOf[r]])
+	}
+	// reach lists the right vertices left vertex l may scan in a pass,
+	// ascending (the scan order of an unindexed solve; sorting also keeps
+	// index-served lists deterministic, since the index is a map).
+	reach := func(in scope, l int) []int {
+		if compiled[l] == nil {
+			if r, ok := candIdx[preds[l-nExist].Instance]; ok {
+				return []int{r}
+			}
+			return []int{}
+		}
+		out := []int{}
+		for pi, p := range places {
+			if l < nExist && !in(l, p) {
+				continue
+			}
+			if pm := images[p]; pm != nil {
+				if set, ok := pm.indexCandidates(exprs[l]); ok {
+					for id := range set {
+						if r, ok := candIdx[id]; ok && placeOf[r] == pi {
+							out = append(out, r)
+						}
+					}
+					continue
+				}
+			}
+			out = append(out, byPlace[pi]...)
+		}
+		if !sort.IntsAreSorted(out) {
+			sort.Ints(out)
+		}
+		return out
+	}
+	// adjOf memoizes reach for one pass, built on first use: a seeded
+	// solve visits only the new predicates and the slots their augmenting
+	// paths displace.
+	adjOf := func(in scope) func(l int) []int {
+		lists := make([][]int, nLeft)
+		return func(l int) []int {
+			if lists[l] == nil {
+				lists[l] = reach(in, l)
+			}
+			return lists[l]
+		}
+	}
+	// The seeds are checked against the edge oracle, so it repeats each
+	// pass's placement rule.
+	edgeIn := func(in scope) func(l, r int) bool {
+		return func(l, r int) bool { return admits(in, l, r) && edge(l, r) }
+	}
+
+	seed := make([]int, nLeft)
 	for i := range seed {
 		seed[i] = matching.Unmatched
 	}
@@ -189,38 +296,13 @@ func SolveJoint(slots []JointSlot, cands []JointCand, preds []Predicate, predIdx
 			seed[i] = j
 		}
 	}
-	home := func(l, r int) bool {
-		return slots[l].Node == cands[r].Node && slots[l].Shard == cands[r].Shard
-	}
 
 	// Pass 1: existing slots pinned to their exact (node, shard) home.
-	pinned := matching.NewIncremental(nExist+len(preds), len(cands), func(l, r int) bool {
-		if l < nExist && !home(l, r) {
-			return false
-		}
-		return edge(l, r)
-	})
-	assign, ok := pinned.Solve(seed)
+	assign, ok := matching.SolveSeeded(nLeft, len(cands), edgeIn(home), adjOf(home), seed)
 	if !ok {
 		// Pass 2: migratable slots roam their node, cross-node slots roam
 		// everywhere.
-		free := matching.NewIncremental(nExist+len(preds), len(cands), func(l, r int) bool {
-			if l < nExist {
-				sl := &slots[l]
-				switch {
-				case !sl.Migratable:
-					if !home(l, r) {
-						return false
-					}
-				case !sl.CrossNode:
-					if sl.Node != cands[r].Node {
-						return false
-					}
-				}
-			}
-			return edge(l, r)
-		})
-		if assign, ok = free.Solve(seed); !ok {
+		if assign, ok = matching.SolveSeeded(nLeft, len(cands), edgeIn(roam), adjOf(roam), seed); !ok {
 			return nil, false
 		}
 	}
@@ -240,6 +322,42 @@ func SolveJoint(slots []JointSlot, cands []JointCand, preds []Predicate, predIdx
 		pin(k, assign[nExist+k])
 	}
 	return plan, true
+}
+
+// lazyMatch solves one store's property-view assignment problem: every
+// slot (exprs) must land on a distinct candidate that satisfies it. It is
+// seeded from initial (instance id per slot, "" for unassigned); seeds
+// that are not candidates or no longer satisfy their predicate count as
+// unassigned. Edges are evaluated on demand, so a grant that finds the
+// existing assignment intact pays only for the new slots' augmenting
+// paths. It returns the instance id per slot and whether every slot was
+// saturated.
+func lazyMatch(exprs []predicate.Expr, cands []*resource.Instance, initial []string) ([]string, bool) {
+	compiled := make([]compiledPred, len(exprs))
+	for i, e := range exprs {
+		compiled[i] = compilePred(e)
+	}
+	idxOf := make(map[string]int, len(cands))
+	for j, in := range cands {
+		idxOf[in.ID] = j
+	}
+	seed := make([]int, len(initial))
+	for i, inst := range initial {
+		seed[i] = matching.Unmatched
+		if j, ok := idxOf[inst]; ok && inst != "" {
+			seed[i] = j
+		}
+	}
+	edge := func(i, j int) bool { return compiled[i](cands[j]) }
+	assign, ok := matching.SolveSeeded(len(exprs), len(cands), edge, nil, seed)
+	if !ok {
+		return nil, false
+	}
+	out := make([]string, len(assign))
+	for i, j := range assign {
+		out[i] = cands[j].ID
+	}
+	return out, true
 }
 
 // slotMigration re-homes one existing property sub-promise between this

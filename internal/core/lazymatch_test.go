@@ -49,7 +49,7 @@ func TestQuickLazyMatcherAgreesWithHopcroftKarp(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		exprs, cands, g := buildRandom(r)
 		initial := make([]string, len(exprs))
-		assign, ok := newLazyMatcher(exprs, cands).solve(initial)
+		assign, ok := lazyMatch(exprs, cands, initial)
 		_, hkOK := g.SaturatesLeft()
 		if ok != hkOK {
 			t.Logf("disagree: lazy=%v hk=%v (%dx%d)", ok, hkOK, len(exprs), len(cands))
@@ -120,7 +120,7 @@ func TestQuickLazyMatcherSeededAgrees(t *testing.T) {
 		if len(exprs) > 0 && r.Intn(3) == 0 {
 			initial[r.Intn(len(exprs))] = "no-such-instance"
 		}
-		_, ok := newLazyMatcher(exprs, cands).solve(initial)
+		_, ok := lazyMatch(exprs, cands, initial)
 		if ok != hkOK {
 			t.Logf("seeded disagree: lazy=%v hk=%v", ok, hkOK)
 			return false
@@ -133,13 +133,13 @@ func TestQuickLazyMatcherSeededAgrees(t *testing.T) {
 }
 
 func TestLazyMatcherEmpty(t *testing.T) {
-	assign, ok := newLazyMatcher(nil, nil).solve(nil)
+	assign, ok := lazyMatch(nil, nil, nil)
 	if !ok || len(assign) != 0 {
 		t.Fatalf("empty solve = %v %v", assign, ok)
 	}
 	// Slots but no candidates: unsatisfiable.
 	exprs := []predicate.Expr{predicate.MustParse("x >= 0")}
-	if _, ok := newLazyMatcher(exprs, nil).solve([]string{""}); ok {
+	if _, ok := lazyMatch(exprs, nil, []string{""}); ok {
 		t.Fatal("saturated with no candidates")
 	}
 }
@@ -152,7 +152,7 @@ func TestLazyMatcherSeedConflict(t *testing.T) {
 		{ID: "a", Props: map[string]predicate.Value{"x": predicate.Int(1)}},
 		{ID: "b", Props: map[string]predicate.Value{"x": predicate.Int(2)}},
 	}
-	assign, ok := newLazyMatcher(exprs, cands).solve([]string{"a", "a"})
+	assign, ok := lazyMatch(exprs, cands, []string{"a", "a"})
 	if !ok {
 		t.Fatal("should saturate")
 	}

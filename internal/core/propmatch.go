@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"repro/internal/matching"
 	"repro/internal/predicate"
 	"repro/internal/resource"
@@ -21,8 +23,7 @@ import (
 //     assignment (the matching seed) and a compiled form of its predicate;
 //   - candList mirrors the matcher's right side: every hostable instance
 //     (available, or tentatively held by an active property slot), with the
-//     committed row, its tentative flag, and a per-instance cache of
-//     predicate evaluations that survive across grants;
+//     committed row and its tentative flag;
 //   - byValue indexes candidates per property name and value, so Eq/In/And
 //     shaped predicates hand the solver an exact candidate list and the
 //     edge oracle never touches the rest of the world.
@@ -82,11 +83,10 @@ type propMatcher struct {
 type slotEntry struct {
 	key      string
 	expr     predicate.Expr
-	exprStr  string
-	compiled compiledPred // nil when the shape needs full Eval
-	assigned string       // current tentative instance ("" when none)
-	sole     bool         // single-predicate promise (migratable cross-shard)
-	pos      int          // index in slotList
+	compiled compiledPred
+	assigned string // current tentative instance ("" when none)
+	sole     bool   // single-predicate promise (migratable cross-shard)
+	pos      int    // index in slotList
 }
 
 // candEntry is one hostable instance (a right vertex). inst is the
@@ -97,10 +97,6 @@ type candEntry struct {
 	inst      *resource.Instance
 	tentative bool
 	pos       int // index in candList
-	// edges caches Eval verdicts for non-compilable predicates, keyed by
-	// expression text; cleared whenever the instance's contribution
-	// changes (any status or property transition re-classifies it).
-	edges map[string]bool
 }
 
 func (pm *propMatcher) init() {
@@ -131,7 +127,6 @@ func (pm *propMatcher) updatePromiseSlots(pid string, p *Promise) {
 		se := &slotEntry{
 			key:      slotKey(pid, i),
 			expr:     pred.Expr,
-			exprStr:  pred.Expr.String(),
 			compiled: compilePred(pred.Expr),
 			assigned: assigned,
 			sole:     sole,
@@ -154,8 +149,8 @@ func (pm *propMatcher) removeSlot(se *slotEntry) {
 
 // updateCand folds one instance's re-classification into the candidate
 // structures. The contribution changed (candRecompute only calls on
-// change), so any cached edge verdict may be stale: the cache is dropped
-// and the row pointer refreshed even when the instance stays hostable.
+// change), so the row pointer is refreshed even when the instance stays
+// hostable: a predicate on the status builtin reads it.
 func (pm *propMatcher) updateCand(id string, hostable, tentative bool, inst *resource.Instance) {
 	ce := pm.cands[id]
 	if !hostable {
@@ -179,7 +174,6 @@ func (pm *propMatcher) updateCand(id string, hostable, tentative bool, inst *res
 	}
 	ce.inst = inst
 	ce.tentative = tentative
-	ce.edges = nil
 	for k, v := range inst.Props {
 		pv := pm.byValue[k]
 		if pv == nil {
@@ -261,6 +255,56 @@ func (pm *propMatcher) indexCandidates(e predicate.Expr) (map[string]*candEntry,
 	}
 }
 
+// pickFree picks a free candidate (held by no slot, even tentatively)
+// that satisfies e, skipping ids taken reports, and counts how many there
+// are; nil when there is none. c is e compiled. With spread zero it picks
+// the lowest id; otherwise the lowest FNV-1a hash of the id seeded with
+// spread, so requests with different seeds pick different instances and
+// the ones picked scatter over the property values. The index narrows the
+// scan when e's shape allows.
+func (pm *propMatcher) pickFree(e predicate.Expr, c compiledPred, taken func(id string) bool, spread uint32) (best *candEntry, free int) {
+	var bestKey uint32
+	consider := func(ce *candEntry) {
+		if ce.tentative || taken(ce.id) || !c(ce.inst) {
+			return
+		}
+		free++
+		var key uint32
+		if spread != 0 {
+			key = fnv1a(spread, ce.id)
+		}
+		if best == nil || key < bestKey || key == bestKey && ce.id < best.id {
+			best, bestKey = ce, key
+		}
+	}
+	if set, ok := pm.indexCandidates(e); ok {
+		for _, ce := range set {
+			consider(ce)
+		}
+	} else {
+		for _, ce := range pm.candList {
+			consider(ce)
+		}
+	}
+	return best, free
+}
+
+// indexAdj lists the candList positions of the candidates the index
+// serves for e, in ascending order so solves stay deterministic (the index
+// is a map). ok=false means e's shape is not index-served.
+func (pm *propMatcher) indexAdj(e predicate.Expr) ([]int, bool) {
+	set, ok := pm.indexCandidates(e)
+	if !ok {
+		return nil, false
+	}
+	out := make([]int, 0, len(set))
+	for _, ce := range set {
+		out = append(out, ce.pos)
+	}
+	sort.Ints(out)
+	return out, true
+}
+
 // planPropertyFast serves an all-property, no-release grant from the
 // persistent matcher state, filling plan's assignments and reallocations.
 // It reports whether the predicates are jointly satisfiable. The
@@ -271,65 +315,33 @@ func (m *shard) planPropertyFast(preds []Predicate, plan *grantPlan) bool {
 	pm := &m.pmatch
 	nSlots := len(pm.slotList)
 	nLeft := nSlots + len(preds)
-	nRight := len(pm.candList)
 
-	type leftPred struct {
-		expr     predicate.Expr
-		exprStr  string
-		compiled compiledPred
-	}
-	newPreds := make([]leftPred, len(preds))
+	newPreds := make([]compiledPred, len(preds))
 	for i, p := range preds {
-		newPreds[i] = leftPred{expr: p.Expr, exprStr: p.Expr.String(), compiled: compilePred(p.Expr)}
+		newPreds[i] = compilePred(p.Expr)
 	}
-	left := func(l int) (predicate.Expr, string, compiledPred) {
+	left := func(l int) (predicate.Expr, compiledPred) {
 		if l < nSlots {
 			se := pm.slotList[l]
-			return se.expr, se.exprStr, se.compiled
+			return se.expr, se.compiled
 		}
-		np := newPreds[l-nSlots]
-		return np.expr, np.exprStr, np.compiled
+		return preds[l-nSlots].Expr, newPreds[l-nSlots]
 	}
-
-	// Eval verdicts for non-compilable shapes go straight into the shared
-	// cache: the caller holds the writer, so nothing else reads or
-	// invalidates it during the solve.
 	edge := func(l, r int) bool {
-		expr, exprStr, compiled := left(l)
-		ce := pm.candList[r]
-		if compiled != nil {
-			return compiled(ce.inst.Props)
-		}
-		if v, ok := ce.edges[exprStr]; ok {
-			return v
-		}
-		ok, err := predicate.Eval(expr, ce.inst.Env())
-		v := err == nil && ok
-		if ce.edges == nil {
-			ce.edges = make(map[string]bool)
-		}
-		ce.edges[exprStr] = v
-		return v
+		_, compiled := left(l)
+		return compiled(pm.candList[r].inst)
 	}
-
+	// Adjacency is resolved on first use: a seeded solve visits only the
+	// new predicates and the slots their augmenting paths displace.
 	adjLists := make([][]int, nLeft)
 	adjKnown := make([]bool, nLeft)
-	for l := 0; l < nLeft; l++ {
-		expr, _, _ := left(l)
-		if set, ok := pm.indexCandidates(expr); ok {
-			list := make([]int, 0, len(set))
-			for _, ce := range set {
-				list = append(list, ce.pos)
-			}
-			adjLists[l] = list
+	adj := func(l int) []int {
+		if !adjKnown[l] {
+			expr, _ := left(l)
+			adjLists[l], _ = pm.indexAdj(expr)
 			adjKnown[l] = true
 		}
-	}
-	adj := func(l int) []int {
-		if adjKnown[l] {
-			return adjLists[l]
-		}
-		return nil
+		return adjLists[l]
 	}
 
 	initial := make([]int, nLeft)
@@ -345,7 +357,7 @@ func (m *shard) planPropertyFast(preds []Predicate, plan *grantPlan) bool {
 		}
 	}
 
-	assign, sat := matching.SolveSeeded(nLeft, nRight, edge, adj, initial)
+	assign, sat := matching.SolveSeeded(nLeft, len(pm.candList), edge, adj, initial)
 	if sat {
 		for i, se := range pm.slotList {
 			if id := pm.candList[assign[i]].id; id != se.assigned {
@@ -363,19 +375,22 @@ func (m *shard) planPropertyFast(preds []Predicate, plan *grantPlan) bool {
 // instance's property map — no Env indirection, no AST walk, no error
 // allocation. false covers both "unsatisfied" and "evaluation error", which
 // is exactly the edge oracle's treatment of predicate.Eval.
-type compiledPred func(props map[string]predicate.Value) bool
+type compiledPred func(inst *resource.Instance) bool
 
-// compilePred compiles e for the edge oracle, or returns nil when the
-// expression cannot be compiled faithfully — a reference to the "id" or
-// "status" evaluation builtins (which live on Env, not Props) or an unknown
-// node. Callers fall back to predicate.Eval over the full environment.
+// compilePred compiles e for the edge oracle. An expression that cannot be
+// compiled faithfully — a reference to the "id" or "status" evaluation
+// builtins (which live on Env, not Props) or an unknown node — evaluates
+// through predicate.Eval over the full environment instead.
 func compilePred(e predicate.Expr) compiledPred {
 	f := compileValue(e)
 	if f == nil {
-		return nil
+		return func(inst *resource.Instance) bool {
+			ok, err := predicate.Eval(e, inst.Env())
+			return err == nil && ok
+		}
 	}
-	return func(props map[string]predicate.Value) bool {
-		v, ok := f(props)
+	return func(inst *resource.Instance) bool {
+		v, ok := f(inst.Props)
 		if !ok {
 			return false
 		}

@@ -10,13 +10,13 @@ import (
 )
 
 // TestMatcherStateInvalidation pins the persistent matcher state against
-// its one real hazard: edge caches outliving the instance they were
-// computed from. An application action mutates instance properties in its
-// own transaction; the commit hook must refresh the candidate entry and
-// drop its cached edges, so the next property grant re-evaluates against
-// the new properties in both directions — a stale satisfied edge must not
-// admit a request the instance no longer satisfies, and a stale failed
-// edge must not reject one it now does.
+// its one real hazard: a candidate's row and index entries outliving the
+// instance they were taken from. An application action mutates instance
+// properties in its own transaction; the commit hook must refresh the
+// candidate entry and re-index it, so the next property grant evaluates
+// against the new properties in both directions — a stale satisfied edge
+// must not admit a request the instance no longer satisfies, and a stale
+// failed edge must not reject one it now does.
 func TestMatcherStateInvalidation(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -51,8 +51,8 @@ func TestMatcherStateInvalidation(t *testing.T) {
 				}
 			}
 
-			// Warm the matcher: both instances get tier=1 edges evaluated
-			// and cached while satisfying these grants.
+			// Warm the matcher: both instances are indexed and evaluated
+			// under tier=1 while satisfying these grants.
 			g1 := grantQty(t, s, "holder", MustProperty("tier = 1"))
 			g2 := grantQty(t, s, "holder", MustProperty("tier = 1"))
 			if !g1.Accepted || !g2.Accepted {
@@ -70,8 +70,8 @@ func TestMatcherStateInvalidation(t *testing.T) {
 				t.Fatal("grant satisfied only by stale pre-mutation properties was accepted")
 			}
 
-			// Stale failed edge: the rejection above evaluated (and cached)
-			// tier=1 edges as unsatisfied; flipping one instance back must
+			// Stale failed edge: the rejection above evaluated tier=1 edges
+			// as unsatisfied; flipping one instance back must
 			// make the same request grantable again.
 			setTier(a, 1)
 			pr := grantQty(t, s, "c", MustProperty("tier = 1"))

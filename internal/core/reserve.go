@@ -82,6 +82,9 @@ type PropertySlot struct {
 	// coordinator may re-home on another shard (MigrateOut/MigrateIn) when
 	// the joint match needs its slot on an instance elsewhere.
 	Migratable bool
+	// compiled is Expr's compiled form when the shard's matcher image
+	// supplied it (nil otherwise: the joint matcher compiles Expr itself).
+	compiled compiledPred
 }
 
 // PropertyCandidate is one instance a shard can offer the global matcher.
@@ -103,6 +106,11 @@ type PropertyContext struct {
 	// available ones (including those freed by this reservation's
 	// releases) and tentative ones.
 	Candidates []PropertyCandidate
+	// image is the shard's persistent matcher state when the context was
+	// served from it: it mirrors Slots and Candidates exactly, so its
+	// per-value index may narrow the joint match's scans. Valid only
+	// while the reservation writes nothing more.
+	image *propMatcher
 }
 
 // Reservation is one shard's tentatively-applied slice of a two-phase
@@ -328,9 +336,10 @@ func (r *Reservation) MigrateIn(p *Promise, inst string) error {
 // When the reservation has written nothing (no releases applied, no sweep
 // activity), the committed state the persistent matcher mirrors is exactly
 // the transaction's view, so the context is served from propmatch.go — no
-// row clones, no classification pass. The consistency argument is the file
-// comment of propmatch.go; a reservation that released anything falls back
-// to the scans, which see the tentatively-freed instances.
+// row clones, no classification pass, slot predicates already compiled,
+// and the image itself attached for its index. The consistency argument is
+// the file comment of propmatch.go; a reservation that released anything
+// falls back to the scans, which see the tentatively-freed instances.
 func (r *Reservation) PropertyContext() (*PropertyContext, error) {
 	m := r.m
 	if !m.cfg.disableFastPath && m.cfg.PropertyMode == MatchingMode && r.tx.Writes() == 0 {
@@ -338,9 +347,10 @@ func (r *Reservation) PropertyContext() (*PropertyContext, error) {
 		out := &PropertyContext{
 			Slots:      make([]PropertySlot, 0, len(pm.slotList)),
 			Candidates: make([]PropertyCandidate, 0, len(pm.candList)),
+			image:      pm,
 		}
 		for _, se := range pm.slotList {
-			out.Slots = append(out.Slots, PropertySlot{Key: se.key, Expr: se.expr, Assigned: se.assigned, Migratable: se.sole})
+			out.Slots = append(out.Slots, PropertySlot{Key: se.key, Expr: se.expr, Assigned: se.assigned, Migratable: se.sole, compiled: se.compiled})
 		}
 		for _, ce := range pm.candList {
 			out.Candidates = append(out.Candidates, PropertyCandidate{Instance: ce.inst, Tentative: ce.tentative})

@@ -254,6 +254,155 @@ func (g *grantSession) reserve(ctx context.Context, locked map[int]bool) (*Promi
 	return nil, nil
 }
 
+// freeHost is the free-host shortcut. It applies to a request whose
+// predicates all float as property predicates, with nothing fixed and
+// nothing released. Matching a new slot to a free instance (one no slot
+// holds, even tentatively) keeps every existing assignment valid, so when
+// the locked shards' matcher images (propmatch.go) show a distinct free
+// satisfying instance for every predicate, the joint match would accept
+// too: the shortcut reserves only the shards of those instances and pins
+// the predicates there. It never rejects. A nil plan means "escalate":
+// the session holds no reservation and runs the full reserve → match.
+//
+// The images are read under the shard locks the caller holds, so they are
+// the committed state; after Reserve the shortcut re-checks that the
+// reservation wrote nothing (a sweep that lapsed a promise changes what
+// is free) and that each chosen instance is still free.
+//
+// In MatchingMode the choice spreads the load: the scan starts at a shard
+// hashed from the request, takes the better of the first two shards with
+// a free host (the one with more left), and within it the free instance
+// the request's hash ranks first. Without that, grants pile onto low
+// shards and low ids, and broad predicates leave narrow ones without a
+// free host. In FirstFitMode it picks what SolveJoint would: the first
+// free satisfying instance in (shard, id) order over the shards the
+// re-read pre-filter names. That needs every such shard locked and no
+// sweep due on one scanned before a chosen shard, since a sweep could
+// free an earlier instance.
+func (g *grantSession) freeHost(ctx context.Context, locked map[int]bool) (*JointPlan, error) {
+	s := g.s
+	if s.shards[0].cfg.disableFastPath || len(g.floating) == 0 || len(g.fixed) > 0 || len(g.relByShard) > 0 || g.compositeRel {
+		return nil, nil
+	}
+	for _, f := range g.floating {
+		if f.named {
+			return nil, nil
+		}
+	}
+	var order []int
+	var spread uint32 // zero in first-fit: lowest ids first
+	if s.mode == FirstFitMode {
+		order = sortedKeys(s.contributingShards(g.spec.Predicates, g.floating))
+		for _, sh := range order {
+			if !locked[sh] {
+				return nil, nil
+			}
+		}
+	} else {
+		spread = g.spreadKey()
+		first := int(spread % uint32(len(s.shards)))
+		for i := range s.shards {
+			if sh := (first + i) % len(s.shards); locked[sh] {
+				order = append(order, sh)
+			}
+		}
+	}
+
+	type host struct {
+		shard int
+		id    string
+	}
+	hosts := make([]host, len(g.floating))
+	taken := func(id string) bool {
+		for _, h := range hosts {
+			if h.id == id {
+				return true
+			}
+		}
+		return false
+	}
+	// In first-fit each predicate takes a free satisfying instance of the
+	// first shard in order that has one left. In MatchingMode it looks at
+	// the first two shards in order that have one and takes the one with
+	// more left (two choices keep free capacity level across the shards).
+	for k, f := range g.floating {
+		e := g.spec.Predicates[f.idx].Expr
+		c := compilePred(e)
+		most, seen := 0, 0
+		for _, sh := range order {
+			ce, free := s.shards[sh].pmatch.pickFree(e, c, taken, spread)
+			if free == 0 {
+				continue
+			}
+			if free > most {
+				most, hosts[k] = free, host{shard: sh, id: ce.id}
+			}
+			if seen++; s.mode == FirstFitMode || seen == 2 {
+				break
+			}
+		}
+		if hosts[k].id == "" {
+			return nil, nil
+		}
+	}
+	if s.mode == FirstFitMode {
+		// A sweep due on a shard scanned before a chosen one could free an
+		// earlier instance; the chosen shards' own sweeps show as writes
+		// after Reserve.
+		last, chosen := 0, make(map[int]bool, len(hosts))
+		for _, h := range hosts {
+			last = max(last, h.shard)
+			chosen[h.shard] = true
+		}
+		now := s.clk.Now()
+		for _, sh := range order {
+			if sh < last && !chosen[sh] && len(s.shards[sh].exp.dueEntries(now)) > 0 {
+				return nil, nil
+			}
+		}
+	}
+
+	escalate := func(err error) (*JointPlan, error) {
+		g.abort()
+		g.resvs = nil
+		return nil, err
+	}
+	g.resvs = make(map[int]*Reservation, len(hosts))
+	for _, h := range hosts {
+		if g.resvs[h.shard] != nil {
+			continue
+		}
+		if rej, err := g.reserveShard(ctx, h.shard, nil, nil, nil); err != nil || rej != nil {
+			return escalate(err)
+		}
+	}
+	pins := make([]FedPinned, len(hosts))
+	for k, h := range hosts {
+		ce := s.shards[h.shard].pmatch.cands[h.id]
+		if g.resvs[h.shard].tx.Writes() != 0 || ce == nil || ce.tentative {
+			return escalate(nil)
+		}
+		f := g.floating[k]
+		pins[k] = FedPinned{Predicate: g.spec.Predicates[f.idx], PredIdx: g.origIdx(f.idx), Instance: h.id}
+	}
+	s.prefilterSkipped.Add(int64(len(s.shards) - len(g.resvs)))
+	return &JointPlan{Pinned: map[string][]FedPinned{"": pins}}, nil
+}
+
+// spreadKey seeds MatchingMode's free-host choice: a hash of the request's
+// client and first predicate text, never zero. It picks the shard the scan
+// starts at and ranks the free instances within a shard, so different
+// requests land on different shards and instances while a retried request
+// lands where it did.
+func (g *grantSession) spreadKey() uint32 {
+	p := g.spec.Predicates[g.floating[0].idx]
+	src := p.Source
+	if src == "" {
+		src = p.Expr.String()
+	}
+	return fnv1a(fnv1a(fnv1a(fnvOffset, g.client), "\x00"), src) | 1
+}
+
 // reserveRest reserves every shard the session does not hold yet, with
 // nothing to release or grant. The preemption fallback needs them all:
 // the victims that restore feasibility can hold instances anywhere, and
@@ -307,10 +456,12 @@ func (g *grantSession) granted() []GrantedPart {
 // solve runs the joint match (jointmatch.go) over the reserved shards,
 // read through their open reservations, as the single node "". The
 // contexts come straight from each shard's PropertyContext: parsed
-// expressions, no export and no re-parsing.
+// expressions, no export and no re-parsing, and — for a shard that has
+// written nothing — its matcher image with compiled slots and index.
 func (g *grantSession) solve() (*JointPlan, bool, error) {
 	pcs := make([]*PropertyContext, 0, len(g.resvs))
 	shards := sortedKeys(g.resvs)
+	images := make(map[jointPlace]*propMatcher, len(shards))
 	nSlots, nCands := 0, 0
 	for _, sh := range shards {
 		pc, err := g.resvs[sh].PropertyContext()
@@ -320,6 +471,9 @@ func (g *grantSession) solve() (*JointPlan, bool, error) {
 		pcs = append(pcs, pc)
 		nSlots += len(pc.Slots)
 		nCands += len(pc.Candidates)
+		if pc.image != nil {
+			images[jointPlace{shard: sh}] = pc.image
+		}
 	}
 	slots := make([]JointSlot, 0, nSlots)
 	cands := make([]JointCand, 0, nCands)
@@ -337,7 +491,7 @@ func (g *grantSession) solve() (*JointPlan, bool, error) {
 		preds[k] = g.spec.Predicates[f.idx]
 		predIdx[k] = g.origIdx(f.idx)
 	}
-	plan, ok := SolveJoint(slots, cands, preds, predIdx, g.s.mode)
+	plan, ok := solveJoint(slots, cands, images, preds, predIdx, g.s.mode)
 	return plan, ok, nil
 }
 

@@ -7,13 +7,15 @@ import (
 
 // This file is the lock-free read half of the store. Every committed
 // transaction publishes a fresh immutable Snapshot of the full table state
-// via an atomic pointer: copy-on-write of only the buckets its writes
-// touched, so publication costs O(touched), not O(table). Readers load the
-// pointer and walk plain maps — no store writer, no blocking behind the
-// open transaction. This is the RCU/epoch pattern: writers never
-// wait for readers, readers never wait for writers, and a reader's view is
-// always some committed prefix of history (never a torn mid-transaction
-// state).
+// via an atomic pointer. Each table's rows live in a two-level
+// copy-on-write tree (snapTable → snapNode → snapLeaf), so a commit copies
+// one root, one 64-pointer node and one small leaf per touched key: the
+// per-commit cost depends on what the transaction wrote, not on how many
+// rows the table holds. Readers load the pointer and walk plain immutable
+// structures — no store writer, no blocking behind the open transaction.
+// This is the RCU/epoch pattern: writers never wait for readers, readers
+// never wait for writers, and a reader's view is always some committed
+// prefix of history (never a torn mid-transaction state).
 //
 // Snapshots carry two counters. Version increases by one per publication
 // and identifies the snapshot within this store (caches key off it). Epoch
@@ -44,27 +46,77 @@ type TableKey struct {
 	Table, Key string
 }
 
-// snapshotBuckets fixes the copy-on-write granularity: each table's rows
-// spread over this many immutable maps, and a commit copies only the
-// buckets holding its touched keys (~1/64th of the table each). It must
-// stay <= 64 so a publication can track copied buckets in one bitmask.
-const snapshotBuckets = 64
+// snapFanout is the width of each tree level: a table spreads its rows
+// over snapFanout nodes of snapFanout leaves, created lazily. A leaf of a
+// table of n rows holds about n/4096 of them; a commit copies only the
+// leaves holding its touched keys.
+const snapFanout = 64
 
-// snapTable is one table's slice of a snapshot.
+// snapTable is one table's slice of a snapshot: the root of its tree.
 type snapTable struct {
-	buckets [snapshotBuckets]map[string]Row
+	nodes [snapFanout]*snapNode
+	n     int // row count
 }
 
-// bucketOf is FNV-1a inlined: it sits on the per-Get hot path of every
-// lock-free read, where the hash.Hash32 interface would cost a heap
-// allocation per lookup.
-func bucketOf(key string) int {
+// snapNode is the inner level of a table's tree.
+type snapNode struct {
+	leaves [snapFanout]*snapLeaf
+}
+
+// snapLeaf holds the rows whose keys hash to it, sorted by key. A sorted
+// slice, not a map, so copying a leaf is one allocation whatever its size
+// (a Go map costs more allocations once it outgrows one group).
+type snapLeaf struct {
+	ents []snapEntry
+}
+
+type snapEntry struct {
+	key string
+	row Row
+}
+
+// find returns the position of key in the leaf, or where it would go.
+func (l *snapLeaf) find(key string) (int, bool) {
+	lo, hi := 0, len(l.ents)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l.ents[mid].key < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(l.ents) && l.ents[lo].key == key
+}
+
+// slotOf places key in the tree: FNV-1a inlined, because it sits on the
+// per-Get hot path of every lock-free read, where the hash.Hash32
+// interface would cost a heap allocation per lookup.
+func slotOf(key string) (node, leaf int) {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return int(h % snapshotBuckets)
+	return int(h>>6) % snapFanout, int(h % snapFanout)
+}
+
+// get returns the row stored under key.
+func (t *snapTable) get(key string) (Row, bool) {
+	ni, li := slotOf(key)
+	nd := t.nodes[ni]
+	if nd == nil {
+		return nil, false
+	}
+	lf := nd.leaves[li]
+	if lf == nil {
+		return nil, false
+	}
+	i, ok := lf.find(key)
+	if !ok {
+		return nil, false
+	}
+	return lf.ents[i].row, true
 }
 
 // Snapshot is an immutable view of the store's committed state. It is safe
@@ -106,7 +158,7 @@ func (s *Snapshot) Get(tbl, key string) (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	row, ok := t.buckets[bucketOf(key)][key]
+	row, ok := t.get(key)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, tbl, key)
 	}
@@ -120,19 +172,20 @@ func (s *Snapshot) Scan(tbl string, fn func(key string, row Row) bool) error {
 	if err != nil {
 		return err
 	}
-	n := 0
-	for _, b := range t.buckets {
-		n += len(b)
-	}
-	keys := make([]string, 0, n)
-	for _, b := range t.buckets {
-		for k := range b {
-			keys = append(keys, k)
+	ents := make([]snapEntry, 0, t.n)
+	for _, nd := range t.nodes {
+		if nd == nil {
+			continue
+		}
+		for _, lf := range nd.leaves {
+			if lf != nil {
+				ents = append(ents, lf.ents...)
+			}
 		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !fn(k, t.buckets[bucketOf(k)][k].CloneRow()) {
+	sort.Slice(ents, func(i, j int) bool { return ents[i].key < ents[j].key })
+	for _, e := range ents {
+		if !fn(e.key, e.row.CloneRow()) {
 			break
 		}
 	}
@@ -145,11 +198,7 @@ func (s *Snapshot) Len(tbl string) int {
 	if err != nil {
 		return 0
 	}
-	n := 0
-	for _, b := range t.buckets {
-		n += len(b)
-	}
-	return n
+	return t.n
 }
 
 // Snapshot returns the store's latest committed snapshot. The returned
@@ -196,18 +245,16 @@ func (s *Store) publishTable(tbl string) {
 	s.snap.Store(next)
 }
 
-// tableWork is one table's copy-on-write state inside a publication.
-type tableWork struct {
-	name   string
-	live   *table
-	st     *snapTable
-	copied uint64 // bitmask of buckets already copy-on-written
-}
-
 // publishCommit publishes a snapshot reflecting the calling transaction's
 // committed writes. The caller still holds the writer, so no row can change
 // underneath the copy and publications never overlap; each folds in only
 // its own touched keys on top of the previous snapshot.
+//
+// Copy-on-write needs no bookkeeping of its own: a root, node or leaf of
+// the building snapshot that is still the very pointer the previous
+// snapshot holds is shared with published state and is copied before its
+// first change; anything else was created by this publication and is
+// changed in place.
 func (s *Store) publishCommit(touched []TableKey) {
 	prev := s.snap.Load()
 	next := &Snapshot{
@@ -215,59 +262,57 @@ func (s *Store) publishCommit(touched []TableKey) {
 		byName:  prev.byName,
 		tables:  append(make([]*snapTable, 0, len(prev.tables)), prev.tables...),
 	}
-	// A commit rarely touches more than a handful of tables; a linear
-	// scan over this small stack array beats any map.
-	var works [8]tableWork
-	nWorks := 0
 	for _, tk := range touched {
-		var w *tableWork
-		for i := 0; i < nWorks; i++ {
-			if works[i].name == tk.Table {
-				w = &works[i]
-				break
-			}
+		idx, ok := prev.byName[tk.Table]
+		if !ok {
+			continue
 		}
-		if w == nil {
-			idx, ok := prev.byName[tk.Table]
-			if !ok {
-				continue
-			}
-			live := s.tables[tk.Table]
-			if live == nil {
-				continue
-			}
-			// First touch of this table (or a re-touch past the works
-			// array): shallow-copy the building snapshot's snapTable so
-			// published bucket arrays stay immutable and earlier writes of
-			// this same publication are preserved.
-			fresh := &snapTable{buckets: next.tables[idx].buckets}
-			next.tables[idx] = fresh
-			if nWorks < len(works) {
-				works[nWorks] = tableWork{name: tk.Table, live: live, st: fresh}
-				w = &works[nWorks]
-				nWorks++
-			} else {
-				scratch := tableWork{name: tk.Table, live: live, st: fresh}
-				w = &scratch
-			}
+		live := s.tables[tk.Table]
+		if live == nil {
+			continue
 		}
-		b := bucketOf(tk.Key)
-		if w.copied&(1<<b) == 0 {
-			old := w.st.buckets[b]
-			nb := make(map[string]Row, len(old)+1)
-			for k, v := range old {
-				nb[k] = v
-			}
-			w.st.buckets[b] = nb
-			w.copied |= 1 << b
+		old, st := prev.tables[idx], next.tables[idx]
+		if st == old {
+			st = &snapTable{nodes: old.nodes, n: old.n}
+			next.tables[idx] = st
 		}
-		if row, ok := w.live.rows[tk.Key]; ok {
+		ni, li := slotOf(tk.Key)
+		oldNode, nd := old.nodes[ni], st.nodes[ni]
+		if nd == nil || nd == oldNode {
+			fresh := &snapNode{}
+			if nd != nil {
+				fresh.leaves = nd.leaves
+			}
+			st.nodes[ni], nd = fresh, fresh
+		}
+		var oldLeaf *snapLeaf
+		if oldNode != nil {
+			oldLeaf = oldNode.leaves[li]
+		}
+		lf := nd.leaves[li]
+		if lf == nil || lf == oldLeaf {
+			fresh := &snapLeaf{}
+			if lf != nil {
+				fresh.ents = append(make([]snapEntry, 0, len(lf.ents)+1), lf.ents...)
+			}
+			nd.leaves[li], lf = fresh, fresh
+		}
+		i, found := lf.find(tk.Key)
+		row, present := live.rows[tk.Key]
+		switch {
+		case present && found:
 			// The committed Row object is shared with the live table; both
 			// sides treat committed rows as immutable (Put replaces, never
 			// mutates), so sharing is safe and Get clones on the way out.
-			w.st.buckets[b][tk.Key] = row
-		} else {
-			delete(w.st.buckets[b], tk.Key)
+			lf.ents[i].row = row
+		case present:
+			lf.ents = append(lf.ents, snapEntry{})
+			copy(lf.ents[i+1:], lf.ents[i:])
+			lf.ents[i] = snapEntry{key: tk.Key, row: row}
+			st.n++
+		case found:
+			lf.ents = append(lf.ents[:i], lf.ents[i+1:]...)
+			st.n--
 		}
 	}
 	if s.epochFn != nil {
