@@ -1,7 +1,8 @@
-// Package repro_bench exposes the evaluation workloads of EXPERIMENTS.md as
-// testing.B benchmarks — one benchmark family per experiment id (E1–E11).
-// cmd/promise-bench prints the corresponding tables; these benches give
-// per-operation costs for the same code paths.
+// Package repro_bench exposes the evaluation workloads of the experiment
+// suite as testing.B benchmarks — one benchmark family per experiment id
+// (E1–E11), whose claims the tests in internal/experiments/experiments_test.go
+// assert. cmd/promise-bench prints the corresponding tables; these benches
+// give per-operation costs for the same code paths.
 //
 // Run with: go test -bench=. -benchmem
 package repro_bench

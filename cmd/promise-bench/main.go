@@ -1,6 +1,7 @@
-// Command promise-bench regenerates the evaluation tables recorded in
-// EXPERIMENTS.md. Each experiment (E1–E11) validates one claim from the
-// paper; DESIGN.md maps experiments to claims and modules.
+// Command promise-bench prints the evaluation tables of the experiment
+// suite. Each experiment (E1–E11) validates one claim from the paper; the
+// claim tests in internal/experiments/experiments_test.go name each claim
+// and assert its shape.
 //
 // Usage:
 //

@@ -198,10 +198,11 @@ func (m *shard) onCommit(snap *txn.Snapshot, touched []txn.TableKey) {
 	}
 	// Durability rides the same hook: the commit record is appended after
 	// the snapshot is published, still inside the store's serialized hook
-	// order, so log order equals version order and a checkpoint taken from
-	// any later snapshot covers every record logged before it.
-	if m.persist != nil {
-		m.persist.logCommit(snap, touched)
+	// order, so the shard's records follow its version order and a
+	// checkpoint taken from any later snapshot covers every record logged
+	// before it.
+	if m.durable != nil {
+		m.durable.logCommit(m.index, snap, touched)
 	}
 }
 

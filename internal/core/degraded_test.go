@@ -115,7 +115,7 @@ func TestDegradedModeEntryReadsAndRecovery(t *testing.T) {
 }
 
 // TestDegradedAppendFailureTrips covers the other trip source: an append
-// failure latches inside the commit hook and the next durSync both
+// failure latches inside the commit hook and the next sync both
 // surfaces it and flips health.
 func TestDegradedAppendFailureTrips(t *testing.T) {
 	defer failpoint.Reset()

@@ -2,25 +2,26 @@ package core
 
 // This file is the serialization half of the durability layer (see
 // recover.go for the startup half): the record vocabulary written to the
-// write-ahead logs, the per-table row codecs, and the persist hooks the
-// commit path drives.
+// write-ahead log, the per-table row codecs, and the hooks the commit path
+// drives.
 //
-// Two logs per engine. Each shard's store appends one "commit" record per
-// committed transaction — written from the store's commit hook, which runs
-// under the snapshot-publication mutex, so log order equals version order.
-// A single shared bus log carries one "events" record per published event
-// batch (appended under the bus mutex, so log order equals Seq order) and
-// "dir" records mirroring every composite-directory mutation. A "gen" marker separates log generations: it is appended when
-// a recovered engine reopens its log, so a crash before the recovered
-// engine's first checkpoint cannot confuse the old generation's version
-// numbering with the new one's.
+// One log per data directory carries every durable record. Each shard's
+// store appends one "commit" record per committed transaction, tagged with
+// the shard's index — written from the store's commit hook, which runs
+// under the snapshot-publication mutex, so one shard's records land in its
+// version order. The bus appends one "events" record per published event
+// batch (under the bus mutex, so log order equals Seq order), and the
+// composite directory one "dir" record per mutation. A "gen" marker
+// separates log generations: it is appended when a recovered engine reopens
+// the log, so a crash before the recovered engine's first checkpoint cannot
+// confuse the old generation's version numbering with the new one's.
+// Records are appended under shard and bus locks; the log is synced only
+// outside them (Manager.syncAfter).
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/escrow"
@@ -119,10 +120,13 @@ type walComposite struct {
 	Parts   []walPart `json:"parts"`
 }
 
-// walRecord is the one record shape both logs share; T selects which fields
-// are meaningful.
+// walRecord is the one record shape of the log; T selects which fields are
+// meaningful.
 type walRecord struct {
 	T string `json:"t"`
+	// Shard is the committing shard of a commit record and the destination
+	// shard of a move record.
+	Shard int `json:"shard,omitempty"`
 	// commit records: the committed snapshot's version and epoch plus the
 	// touched rows' new values.
 	Ver     uint64      `json:"ver,omitempty"`
@@ -134,14 +138,12 @@ type walRecord struct {
 	Op      string        `json:"op,omitempty"`
 	Comp    *walComposite `json:"comp,omitempty"`    // add
 	Promise string        `json:"promise,omitempty"` // move: the migrated id
-	Shard   int           `json:"shard,omitempty"`   // move: destination shard
 	ID      string        `json:"id,omitempty"`      // drop: composite id
 }
 
 // storeCheckpoint is one shard's serialized table state.
 type storeCheckpoint struct {
 	Ver    uint64                                `json:"ver"`
-	Epoch  uint64                                `json:"epoch"`
 	Tables map[string]map[string]json.RawMessage `json:"tables"`
 }
 
@@ -152,6 +154,13 @@ type busCheckpoint struct {
 	Composites []walComposite `json:"composites,omitempty"`
 	Moved      map[string]int `json:"moved,omitempty"`
 	CompNext   uint64         `json:"comp_next,omitempty"`
+}
+
+// checkpoint is the whole engine's state in one file: every shard's tables,
+// in shard order, plus the bus and composite directory.
+type checkpoint struct {
+	Shards []storeCheckpoint `json:"shards"`
+	busCheckpoint
 }
 
 // durableTables lists exactly the tables the engine persists — the six its
@@ -281,146 +290,112 @@ func decodeRow(tbl string, data []byte) (txn.Row, error) {
 	return nil, fmt.Errorf("core: no row codec for table %q", tbl)
 }
 
-// persistLog adapts one wal.Log to the commit path. Appends happen inside
-// commit hooks and bus publication, which have no caller to return an error
-// to; a failure is latched and surfaced by the next sync() — the durSync
-// call a request makes before responding.
-type persistLog struct {
-	log    *wal.Log
-	active atomic.Bool
-	health *engineHealth // tripped on append/sync failure; may be nil
-	errMu  sync.Mutex
-	err    error
-}
+// The commit path's hooks into the log. Appends happen inside commit hooks
+// and bus publication, which have no caller to return an error to; a
+// failure is latched, and reported both by the commit path that appended
+// (latched) and by the entry point's sync. Every hook is nil-safe: a
+// non-durable engine has no durableEngine.
 
-func (p *persistLog) fail(err error) {
-	p.errMu.Lock()
-	if p.err == nil {
-		p.err = err
+func (d *durableEngine) fail(err error) {
+	d.errMu.Lock()
+	if d.err == nil {
+		d.err = err
 	}
-	p.errMu.Unlock()
-	p.health.trip(err.Error())
+	d.errMu.Unlock()
+	d.health.trip(err.Error())
 }
 
-func (p *persistLog) latched() error {
-	p.errMu.Lock()
-	defer p.errMu.Unlock()
-	return p.err
+// latched reports the first append failure not yet cleared by a re-probe.
+// Shard-level commit paths call it after committing: it costs no I/O, so it
+// is safe under a shard lock.
+func (d *durableEngine) latched() error {
+	if d == nil {
+		return nil
+	}
+	d.errMu.Lock()
+	defer d.errMu.Unlock()
+	return d.err
 }
 
-// clearLatched drops the latched failure after a successful re-probe has
-// re-established (via checkpoint) that the log and the engine state agree.
-func (p *persistLog) clearLatched() {
-	p.errMu.Lock()
-	p.err = nil
-	p.errMu.Unlock()
-}
-
-// appendRecord logs one record while the persist is active.
-func (p *persistLog) appendRecord(rec *walRecord) {
-	if !p.active.Load() {
+// appendRecord logs one record while persistence is active.
+func (d *durableEngine) appendRecord(rec *walRecord) {
+	if d == nil || !d.active.Load() {
 		return
 	}
 	data, err := json.Marshal(rec)
 	if err != nil {
-		p.fail(err)
+		d.fail(err)
 		return
 	}
-	if err := p.log.Append(data); err != nil {
-		p.fail(err)
+	if err := d.log.Append(data); err != nil {
+		d.fail(err)
 	}
 }
 
 // sync surfaces any latched append failure, then forces the log to stable
 // storage per its policy. Either failure trips degraded mode: the engine
 // can no longer make commits durable.
-func (p *persistLog) sync() error {
-	if err := p.latched(); err != nil {
-		return err
-	}
-	if !p.active.Load() {
+func (d *durableEngine) sync() error {
+	if d == nil {
 		return nil
 	}
-	if err := p.log.Sync(); err != nil {
-		p.health.trip(err.Error())
+	if err := d.latched(); err != nil {
+		return err
+	}
+	if !d.active.Load() {
+		return nil
+	}
+	if err := d.log.Sync(); err != nil {
+		d.health.trip(err.Error())
 		return err
 	}
 	return nil
 }
 
-// logCommit is the store commit hook's durability half: one commit record
-// naming every touched row's new value (or deletion). It runs under the
-// snapshot-publication mutex, so records land in version order.
-func (p *persistLog) logCommit(snap *txn.Snapshot, touched []txn.TableKey) {
-	if !p.active.Load() {
+// logCommit is the store commit hook's durability half: one commit record,
+// tagged with the shard, naming every touched row's new value (or
+// deletion). It runs under the snapshot-publication mutex, so one shard's
+// records land in version order.
+func (d *durableEngine) logCommit(shard int, snap *txn.Snapshot, touched []txn.TableKey) {
+	if !d.active.Load() {
 		return
 	}
-	rec := walRecord{T: recCommit, Ver: snap.Version(), Epoch: snap.Epoch()}
+	rec := walRecord{T: recCommit, Shard: shard, Ver: snap.Version(), Epoch: snap.Epoch()}
 	rec.Changes = make([]walChange, 0, len(touched))
 	for _, tk := range touched {
 		ch := walChange{Table: tk.Table, Key: tk.Key}
 		if row, err := snap.Get(tk.Table, tk.Key); err == nil {
 			data, err := encodeRow(tk.Table, row)
 			if err != nil {
-				p.fail(err)
+				d.fail(err)
 				return
 			}
 			ch.Row = data
 		}
 		rec.Changes = append(rec.Changes, ch)
 	}
-	p.appendRecord(&rec)
+	d.appendRecord(&rec)
 }
 
 // logEvents is the bus tap: one events record per published batch, appended
 // under the bus mutex so log order equals Seq order.
-func (p *persistLog) logEvents(events []Event) {
-	p.appendRecord(&walRecord{T: recEvents, Events: events})
+func (d *durableEngine) logEvents(events []Event) {
+	d.appendRecord(&walRecord{T: recEvents, Events: events})
 }
 
-// durSync forces this shard's commit appends to stable storage (per the
-// sync policy) and surfaces latched append failures. Nil-safe: a
-// non-durable shard pays one branch.
-func (m *shard) durSync() error {
-	if m.persist == nil {
-		return nil
+// syncAfter forces the log to stable storage (per the sync policy),
+// surfacing latched append failures, and folds the outcome into a
+// request's: the request's own error wins, and a sync failure turns a
+// success into "not durable". Every mutating entry point calls it once,
+// after releasing its shard locks and whether or not the request failed
+// (a failed request may still have committed compensations). With one
+// log, that sync covers every record appended before it: the request's
+// own, and those of every commit the request could have observed.
+func (s *Manager) syncAfter(err error) error {
+	if serr := s.durable.sync(); serr != nil && err == nil {
+		return fmt.Errorf("core: commit not durable: %w", serr)
 	}
-	return m.persist.sync()
-}
-
-// durSync forces the shared bus log (events and directory records) to
-// stable storage; per-shard commit syncs happen inside the shard that
-// committed, and every mutating entry point syncs the bus before it
-// answers.
-func (s *Manager) durSync() error {
-	if s.busPersist == nil {
-		return nil
-	}
-	return s.busPersist.sync()
-}
-
-// logDirAdd mirrors registerComposite into the bus log.
-func (s *Manager) logDirAdd(id string, c *composite) {
-	if s.busPersist == nil {
-		return
-	}
-	s.busPersist.appendRecord(&walRecord{T: recDir, Op: dirAdd, Comp: compositeToWal(id, c)})
-}
-
-// logDirMove mirrors one committed slot migration into the bus log.
-func (s *Manager) logDirMove(promiseID string, to int) {
-	if s.busPersist == nil {
-		return
-	}
-	s.busPersist.appendRecord(&walRecord{T: recDir, Op: dirMove, Promise: promiseID, Shard: to})
-}
-
-// logDirDrop mirrors dropComposite into the bus log.
-func (s *Manager) logDirDrop(id string) {
-	if s.busPersist == nil {
-		return
-	}
-	s.busPersist.appendRecord(&walRecord{T: recDir, Op: dirDrop, ID: id})
+	return err
 }
 
 func compositeToWal(id string, c *composite) *walComposite {
@@ -439,11 +414,10 @@ func compositeFromWal(wc *walComposite) *composite {
 	return c
 }
 
-// encodeStoreCheckpoint serializes one store snapshot's durable tables.
-func encodeStoreCheckpoint(snap *txn.Snapshot) ([]byte, error) {
+// captureStore serializes one store snapshot's durable tables.
+func captureStore(snap *txn.Snapshot) (storeCheckpoint, error) {
 	ck := storeCheckpoint{
 		Ver:    snap.Version(),
-		Epoch:  snap.Epoch(),
 		Tables: make(map[string]map[string]json.RawMessage, len(durableTables)),
 	}
 	for _, tbl := range durableTables {
@@ -462,9 +436,9 @@ func encodeStoreCheckpoint(snap *txn.Snapshot) ([]byte, error) {
 			err = encErr
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint of table %q: %w", tbl, err)
+			return ck, fmt.Errorf("core: checkpoint of table %q: %w", tbl, err)
 		}
 		ck.Tables[tbl] = rows
 	}
-	return json.Marshal(ck)
+	return ck, nil
 }

@@ -395,21 +395,25 @@ func TestDurableTornTail(t *testing.T) {
 		}
 		return resp.Promises[0].PromiseID
 	}
+	newest := func() (string, int64) {
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("glob log: %v (%d segments)", err, len(segs))
+		}
+		fi, err := os.Stat(segs[len(segs)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return segs[len(segs)-1], fi.Size()
+	}
 	id1 := grant(2)
+	_, before := newest()
 	id2 := grant(3)
 
-	// Abandon the engine and tear the last few bytes off the newest shard
-	// log segment — the tail of id2's commit record.
-	segs, err := filepath.Glob(filepath.Join(dir, "shard-0", "wal-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("glob shard log: %v (%d segments)", err, len(segs))
-	}
-	last := segs[len(segs)-1]
-	fi, err := os.Stat(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(last, fi.Size()-3); err != nil {
+	// Abandon the engine and tear the newest log segment a few bytes into
+	// id2's commit record; its events record, appended after it, goes too.
+	last, _ := newest()
+	if err := os.Truncate(last, before+12); err != nil {
 		t.Fatal(err)
 	}
 
@@ -460,7 +464,7 @@ func TestDurableUndecodableRecordFails(t *testing.T) {
 	}
 	// Abandon the engine, then append a correctly framed record whose
 	// payload is not a walRecord.
-	lg, err := wal.OpenLog(filepath.Join(dir, "shard-0"), wal.Options{})
+	lg, err := wal.OpenLog(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,11 +121,10 @@ type Manager struct {
 	imbalance        metrics.Gauge
 	prefilterSkipped metrics.Counter
 
-	// busPersist mirrors the shared bus (events and composite-directory
-	// records) into the data directory's bus log; durable owns the
-	// checkpoint/recovery runtime. Both nil on a non-durable engine.
-	busPersist *persistLog
-	durable    *durableEngine
+	// durable owns the data directory's one log, shared with every shard
+	// (commits, events and composite-directory records all go to it), and
+	// the checkpoint/recovery runtime. Nil on a non-durable engine.
+	durable *durableEngine
 	// health is the shared degraded-mode latch (nil on a non-durable
 	// engine, which cannot degrade).
 	health *engineHealth
@@ -287,6 +286,7 @@ func New(cfg Config) (*Manager, error) {
 		if err != nil {
 			return nil, err
 		}
+		sh.index = i
 		sh.exp.fire = func() { s.expireDue(sh) }
 		s.shards = append(s.shards, sh)
 	}
@@ -300,7 +300,10 @@ func New(cfg Config) (*Manager, error) {
 // in shard order, a long-running one in the order its history left them.
 // A failed pass re-arms itself on a backoff; the counter is how the
 // failure surfaces (Stats.ExpiryErrors) — there is no caller to return
-// the error to, nor to report a failed sync of the pass's events to.
+// the error to, nor to report a failed sync of the pass's events to. The
+// pass syncs the log once, after every shard lock is released; a crash
+// before that replays the promises as active, and they expire again on
+// recovery.
 func (s *Manager) expireDue(fired *shard) {
 	now := s.clk.Now()
 	for _, sh := range s.shards {
@@ -311,7 +314,7 @@ func (s *Manager) expireDue(fired *shard) {
 			sh.metrics.expiryErrors.Inc()
 		}
 	}
-	_ = s.durSync()
+	_ = s.durable.sync()
 }
 
 // Watch subscribes to lifecycle events across every shard, merged into one
@@ -403,7 +406,7 @@ func (s *Manager) dropComposite(id string) {
 		s.dirMu.Unlock()
 	}
 	s.dir.Delete(id)
-	s.logDirDrop(id)
+	s.durable.appendRecord(&walRecord{T: recDir, Op: dirDrop, ID: id})
 }
 
 // lockShards acquires the mutexes of the given shard set in ascending index
@@ -657,13 +660,10 @@ func (s *Manager) Execute(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 	resp, err := s.execute(ctx, req)
-	if err != nil {
+	// execute has released every shard lock: one sync covers the request's
+	// commits, events and directory records.
+	if err := s.syncAfter(err); err != nil {
 		return nil, err
-	}
-	// The shards synced their own commit logs; the events and directory
-	// records the request produced live in the shared bus log.
-	if err := s.durSync(); err != nil {
-		return nil, fmt.Errorf("core: commit not durable: %w", err)
 	}
 	return resp, nil
 }
@@ -965,11 +965,9 @@ func (s *Manager) grantCross(ctx context.Context, client string, pr PromiseReque
 	if len(confirmed) > 1 {
 		id, expires = s.registerComposite(client, confirmed)
 	}
-	// The directory add, the migration events and every part commit must be
-	// on stable storage before the promise id is handed out.
-	if err := s.durSync(); err != nil {
-		return PromiseResponse{}, fmt.Errorf("core: commit not durable: %w", err)
-	}
+	// The caller syncs the directory add, the migration events and every
+	// part commit once it has released the shard locks, before the promise
+	// id is handed out.
 	return PromiseResponse{
 		Correlation: pr.RequestID,
 		Accepted:    true,
@@ -1095,50 +1093,59 @@ func (s *Manager) registerComposite(client string, parts []compositePart) (strin
 	// Logged after the directory mutation: replay re-applies the record as
 	// a plain overwrite, so the order only matters for the checkpointer,
 	// which captures the directory after rotating the log.
-	s.logDirAdd(id, c)
+	if s.durable != nil {
+		s.durable.appendRecord(&walRecord{T: recDir, Op: dirAdd, Comp: compositeToWal(id, c)})
+	}
 	return id, expires
 }
 
-// commitMoves records confirmed cross-shard slot migrations: the moved
-// directory re-routes the promise ids from now on, and any composite
-// referencing a migrated part gets a fresh directory entry with the
-// updated shard. Entries are replaced, never mutated: a concurrent
-// lock-free reader holding the old pointer sees a consistent stale part
-// list, runs into promise-not-found on the vacated shard, and retries
-// against the fresh entry. Called only while every shard lock the
-// migration touched is held.
+// commitMoves records confirmed cross-shard slot migrations (see
+// rehomeLocked). Called only while every shard lock the migration touched
+// is held.
 func (s *Manager) commitMoves(migs []slotMigration) {
-	if len(migs) == 0 {
-		return
-	}
 	s.dirMu.Lock()
 	defer s.dirMu.Unlock()
 	for _, mg := range migs {
-		s.moved.Store(mg.promiseID, mg.to)
-		cid, ok := s.partOf[mg.promiseID]
-		if !ok {
-			continue
-		}
-		v, ok := s.dir.Load(cid)
-		if !ok {
-			continue
-		}
-		old := v.(*composite)
-		fresh := &composite{
-			client:  old.client,
-			expires: old.expires,
-			parts:   append([]compositePart(nil), old.parts...),
-		}
-		for i := range fresh.parts {
-			if fresh.parts[i].id == mg.promiseID {
-				fresh.parts[i].shard = mg.to
-			}
-		}
-		s.dir.Store(cid, fresh)
+		s.rehomeLocked(mg.promiseID, mg.to)
 	}
-	for _, mg := range migs {
-		s.logDirMove(mg.promiseID, mg.to)
+}
+
+// rehomeLocked records, and logs, that a promise's slot now lives on shard
+// to: the moved directory re-routes its id from now on, and a composite
+// referencing it gets a fresh directory entry with the updated shard. A
+// negative to is a federated migrate-out: the slot left this node, so its
+// moved entry (if any) is retired rather than re-homed. Entries are
+// replaced, never mutated: a concurrent lock-free reader holding the old
+// pointer sees a consistent stale part list, runs into promise-not-found
+// on the vacated shard, and retries against the fresh entry. Recovery
+// replays logged moves through it too. Caller holds dirMu.
+func (s *Manager) rehomeLocked(promiseID string, to int) {
+	defer s.durable.appendRecord(&walRecord{T: recDir, Op: dirMove, Promise: promiseID, Shard: to})
+	if to < 0 {
+		s.moved.Delete(promiseID)
+		return
 	}
+	s.moved.Store(promiseID, to)
+	cid, ok := s.partOf[promiseID]
+	if !ok {
+		return
+	}
+	v, ok := s.dir.Load(cid)
+	if !ok {
+		return
+	}
+	old := v.(*composite)
+	fresh := &composite{
+		client:  old.client,
+		expires: old.expires,
+		parts:   append([]compositePart(nil), old.parts...),
+	}
+	for i := range fresh.parts {
+		if fresh.parts[i].id == promiseID {
+			fresh.parts[i].shard = to
+		}
+	}
+	s.dir.Store(cid, fresh)
 }
 
 // GrantBatch grants many independent promise requests for one client under
@@ -1147,7 +1154,7 @@ func (s *Manager) commitMoves(migs []slotMigration) {
 // with reqs by index; each request is still individually atomic — one
 // rejection does not affect its neighbours, exactly as if they had arrived
 // in one §6 message.
-func (s *Manager) GrantBatch(ctx context.Context, client string, reqs []PromiseRequest) ([]PromiseResponse, error) {
+func (s *Manager) GrantBatch(ctx context.Context, client string, reqs []PromiseRequest) (resps []PromiseResponse, err error) {
 	if client == "" {
 		return nil, fmt.Errorf("%w: missing client", ErrBadRequest)
 	}
@@ -1157,6 +1164,13 @@ func (s *Manager) GrantBatch(ctx context.Context, client string, reqs []PromiseR
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// Every path below releases the shard locks before it returns, so one
+	// deferred sync runs outside them and covers the whole batch.
+	defer func() {
+		if err = s.syncAfter(err); err != nil {
+			resps = nil
+		}
+	}()
 	routeAll := func() (involved map[int]bool, perShard map[int][]int, cross []int) {
 		involved = make(map[int]bool)
 		perShard = make(map[int][]int)
@@ -1282,9 +1296,6 @@ retry:
 			out[idx] = presp
 		}
 		unlock()
-		if err := s.durSync(); err != nil {
-			return nil, fmt.Errorf("core: commit not durable: %w", err)
-		}
 		return out, nil
 	}
 }
@@ -1753,34 +1764,35 @@ func sortedStringKeys[V any](m map[string]V) []string {
 // own.
 func (s *Manager) CreatePool(id string, onHand int64, props map[string]predicate.Value) error {
 	sh := s.shards[s.ShardOf(id)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	tx := sh.store.Begin(txn.Block)
-	if err := sh.rm.CreatePool(tx, id, onHand, props); err != nil {
-		_ = tx.Abort()
-		return err
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	return sh.durSync()
+	return s.syncAfter(sh.commitOwn(func(tx *txn.Tx) error {
+		return sh.rm.CreatePool(tx, id, onHand, props)
+	}))
 }
 
 // CreateInstance registers a named instance on its owning shard, in a
 // transaction of its own.
 func (s *Manager) CreateInstance(id string, props map[string]predicate.Value) error {
 	sh := s.shards[s.ShardOf(id)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	tx := sh.store.Begin(txn.Block)
-	if err := sh.rm.CreateInstance(tx, id, props); err != nil {
+	return s.syncAfter(sh.commitOwn(func(tx *txn.Tx) error {
+		return sh.rm.CreateInstance(tx, id, props)
+	}))
+}
+
+// commitOwn runs fn in a transaction of its own under the shard lock and
+// reports a latched append failure; the caller syncs after the lock is
+// released.
+func (m *shard) commitOwn(fn func(tx *txn.Tx) error) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	tx := m.store.Begin(txn.Block)
+	if err := fn(tx); err != nil {
 		_ = tx.Abort()
 		return err
 	}
 	if err := tx.Commit(); err != nil {
 		return err
 	}
-	return sh.durSync()
+	return m.durable.latched()
 }
 
 // LoadSeed reads a resource seed file and creates its pools and instances

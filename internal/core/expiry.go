@@ -190,7 +190,8 @@ func (m *shard) trackExpiry(id string, expires time.Time) {
 // mutates the store, so the reserve/confirm pipeline's sole-user invariant
 // must hold — it lapses every promise whose deadline passed, publishes
 // warning events for promises entering their expiry window, and re-arms
-// the alarm.
+// the alarm. The caller syncs the log once the lock is released
+// (Manager.expireDue).
 func (m *shard) expireDue() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -230,9 +231,6 @@ func (m *shard) expireDue() error {
 		_ = tx.Commit()
 		m.bus.publish(events...)
 		m.pubMu.Unlock()
-		// Best-effort: there is no caller to surface a sync failure to; a
-		// lost warning event re-fires as the deadline entry anyway.
-		_ = m.durSync()
 	}
 
 	if len(exps) > 0 {
@@ -279,8 +277,5 @@ func (m *shard) expireBatch(now time.Time, exps []expiryEntry) (*execState, erro
 	_ = tx.Commit()
 	m.bus.publish(st.events...)
 	m.pubMu.Unlock()
-	// Best-effort; a crash before this reaches disk replays as a still-
-	// active promise that re-expires on recovery.
-	_ = m.durSync()
 	return st, nil
 }

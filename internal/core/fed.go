@@ -332,11 +332,18 @@ func (s *Manager) claimFedSession(id string) *fedSession {
 // grantSession.apply and commit). It returns every part this session
 // granted (reserve-time fixed parts plus the pinned grants), in shard
 // order.
-func (s *Manager) FedConfirm(ctx context.Context, sessionID string, spec FedConfirmSpec) ([]GrantedPart, error) {
+func (s *Manager) FedConfirm(ctx context.Context, sessionID string, spec FedConfirmSpec) (parts []GrantedPart, err error) {
 	sess := s.claimFedSession(sessionID)
 	if sess == nil {
 		return nil, fmt.Errorf("%w: fed session %s (expired or finished)", ErrPromiseNotFound, sessionID)
 	}
+	// Deferred first, so it runs last: once the session's shard locks are
+	// released, one sync covers every part commit and directory record.
+	defer func() {
+		if err = s.syncAfter(err); err != nil {
+			parts = nil
+		}
+	}()
 	defer sess.unlock()
 	g := sess.g
 	defer g.abort()
@@ -355,27 +362,18 @@ func (s *Manager) FedConfirm(ctx context.Context, sessionID string, spec FedConf
 		// entry so this node answers not-found and the caller's broadcast
 		// finds the promise at its new home.
 		s.dirMu.Lock()
+		defer s.dirMu.Unlock()
 		for i, mi := range spec.MigrateIn {
-			s.moved.Store(mi.ID, g.inShards[i])
+			s.rehomeLocked(mi.ID, g.inShards[i])
 		}
 		for _, id := range spec.MigrateOut {
-			s.moved.Delete(id)
-		}
-		s.dirMu.Unlock()
-		for i, mi := range spec.MigrateIn {
-			s.logDirMove(mi.ID, g.inShards[i])
-		}
-		for _, id := range spec.MigrateOut {
-			s.logDirMove(id, -1)
+			s.rehomeLocked(id, -1)
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := s.durSync(); err != nil {
-		return nil, fmt.Errorf("core: commit not durable: %w", err)
-	}
-	parts := make([]GrantedPart, len(confirmed))
+	parts = make([]GrantedPart, len(confirmed))
 	for i, c := range confirmed {
 		parts[i] = GrantedPart{ID: c.id, PredIdx: c.predIdx, Expires: c.expires}
 	}

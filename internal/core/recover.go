@@ -3,26 +3,25 @@ package core
 // This file is the startup half of the durability layer (durable.go holds
 // the record vocabulary and commit-path hooks): OpenDurable builds an
 // engine whose state is the latest checkpoint plus a replay of the log
-// tail, then keeps it durable from that point on.
+// tail, then keeps it durable from that point on. A data directory holds
+// MANIFEST.json, one log and one checkpoint series. Recovery order:
 //
-// Recovery order matters and is fixed here:
+//  1. Load the newest checkpoint: the bus (cursor, replay ring, composite
+//     directory), then each shard's tables in one transaction.
+//  2. Replay the log from the segment that checkpoint covers up to, in log
+//     order, through the normal commit path; then raise the bus sequence
+//     to the highest epoch any commit carried, so a commit whose events
+//     record was lost never sees its Seqs reissued.
+//  3. Open a fresh segment, write a generation marker, attach the hooks.
+//  4. Re-arm expiry and advance the id generators past recovered ids.
+//  5. Take an initial checkpoint, which prunes the previous generation's
+//     segments, and arm the checkpoint cadence.
 //
-//  1. Restore the bus (sequence cursor, replay ring, composite directory)
-//     from the bus checkpoint, then its log tail. Sequence numbers must be
-//     back before any store replay stamps an epoch.
-//  2. Replay each shard's store: checkpoint tables in one transaction, then
-//     every retained commit record in its own transaction through the
-//     normal commit path — so the candidate index, snapshots and sentinels
-//     rebuild exactly as they were built the first time.
-//  3. Open fresh log segments, write a generation marker, and attach the
-//     persist hooks. From here every commit is logged again.
-//  4. Re-arm the expiry heap from the recovered promise tables and advance
-//     the id generators past every recovered id.
-//  5. Take an initial checkpoint. This prunes the previous generation's
-//     segments, which is what makes the fresh store's restarted version
-//     numbering unambiguous on the next recovery (any record surviving from
-//     before it sits behind a generation marker).
-//  6. Arm the checkpoint cadence alarm.
+// A directory in the per-shard layout of MANIFEST version 1 is read by
+// recoverLegacy in place of steps 1–2; its old directories are removed
+// only once step 5's checkpoint is durable. Whenever a single-log
+// checkpoint exists the newest one is authoritative, so a crash anywhere
+// in the conversion reopens either the old layout or the converted one.
 
 import (
 	"encoding/json"
@@ -40,6 +39,15 @@ import (
 
 // manifestName is the data-directory manifest file.
 const manifestName = "MANIFEST.json"
+
+// Data-directory layout versions, as recorded in the manifest.
+const (
+	// layoutPerShard is the layout before the single log: a "bus" log and
+	// one "shard-<i>" log per shard. Still read, never written.
+	layoutPerShard = 1
+	// layoutSingleLog is one log and one checkpoint series per directory.
+	layoutSingleLog = 2
+)
 
 // Manifest pins a data directory's shape so an engine cannot reopen it with
 // an incompatible shard count.
@@ -67,7 +75,7 @@ func ReadManifest(dir string) (*Manifest, error) {
 }
 
 func writeManifest(dir string, shards int) error {
-	data, err := json.Marshal(Manifest{Version: 1, Shards: shards})
+	data, err := json.Marshal(Manifest{Version: layoutSingleLog, Shards: shards})
 	if err != nil {
 		return err
 	}
@@ -89,27 +97,21 @@ func writeManifest(dir string, shards int) error {
 	return os.Rename(name, filepath.Join(dir, manifestName))
 }
 
-// durableShard pairs one shard with its log and directory.
-type durableShard struct {
-	m   *shard
-	log *wal.Log
-	dir string
-}
-
 // durableEngine is the checkpoint/recovery runtime owned by a durable
 // Manager.
 type durableEngine struct {
-	dir    string
-	busDir string
-	opts   DurabilityOptions
-	clk    clock.Clock
+	dir  string
+	opts DurabilityOptions
+	clk  clock.Clock
 
-	bus        *EventBus
-	busLog     *wal.Log
-	busPersist *persistLog
-	shards     []durableShard
-	s          *Manager
-	health     *engineHealth
+	log    *wal.Log
+	s      *Manager
+	health *engineHealth
+	// active gates appends: off during recovery and after Close's final
+	// capture. err latches the first append failure until a re-probe.
+	active atomic.Bool
+	errMu  sync.Mutex
+	err    error
 
 	// mu serializes checkpoints against each other and against Close.
 	mu        sync.Mutex
@@ -128,11 +130,6 @@ type durableEngine struct {
 	checkpoints atomic.Uint64
 }
 
-// shardDirName returns the per-shard log directory under the data dir.
-func shardDirName(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%d", i))
-}
-
 // OpenDurable opens (or creates) a durable Manager over opts.Dir: state is
 // recovered from the directory, then every commit is logged to it. The
 // directory's manifest must agree with the configured shard count (use
@@ -145,17 +142,15 @@ func OpenDurable(cfg Config, opts DurabilityOptions) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := openDurable(opts, s)
-	if err != nil {
+	if err := openDurable(opts, s); err != nil {
 		return nil, err
 	}
-	s.durable = d
 	return s, nil
 }
 
 // openDurable runs the recovery sequence described at the top of the file
-// and returns the armed runtime.
-func openDurable(opts DurabilityOptions, s *Manager) (*durableEngine, error) {
+// and attaches the armed runtime to s.
+func openDurable(opts DurabilityOptions, s *Manager) error {
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = DefaultCheckpointEvery
 	}
@@ -164,232 +159,296 @@ func openDurable(opts DurabilityOptions, s *Manager) (*durableEngine, error) {
 	}
 	dir := opts.Dir
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+		return err
 	}
 	mf, err := ReadManifest(dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if mf != nil && mf.Shards != len(s.shards) {
-		return nil, fmt.Errorf("core: data directory %s holds %d shard(s), engine configured with %d", dir, mf.Shards, len(s.shards))
+		return fmt.Errorf("core: data directory %s holds %d shard(s), engine configured with %d", dir, mf.Shards, len(s.shards))
+	}
+	if mf != nil && mf.Version != layoutPerShard && mf.Version != layoutSingleLog {
+		return fmt.Errorf("core: data directory %s has unknown layout version %d", dir, mf.Version)
 	}
 	if mf == nil {
 		if err := writeManifest(dir, len(s.shards)); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
-	d := &durableEngine{
-		dir: dir, busDir: filepath.Join(dir, "bus"),
-		opts: opts, clk: s.clk, bus: s.bus, s: s,
-		health: &engineHealth{},
-	}
+	d := &durableEngine{dir: dir, opts: opts, clk: s.clk, s: s, health: &engineHealth{}}
 	d.health.onTrip = d.armReprobe
 	for _, sh := range s.shards {
 		sh.health = d.health
 	}
 	s.health = d.health
 
-	// 1. Bus first: sequence numbering must be restored before any store
-	// replay publishes snapshots stamped with epochs.
-	if err := s.recoverBus(d.busDir); err != nil {
-		return nil, fmt.Errorf("core: recovering event log: %w", err)
-	}
-
-	// 2. Per-shard store replay.
+	// 1–2. The newest checkpoint and the log behind it — or, for a
+	// directory still in the per-shard layout, its own logs.
+	var ck checkpoint
+	seg, found, err := readCheckpoint(dir, &ck)
 	var maxEpoch uint64
-	for i, sh := range s.shards {
-		sdir := shardDirName(dir, i)
-		epoch, err := recoverStore(sh, sdir)
-		if err != nil {
-			return nil, fmt.Errorf("core: recovering shard %d: %w", i, err)
-		}
-		if epoch > maxEpoch {
-			maxEpoch = epoch
-		}
-		d.shards = append(d.shards, durableShard{m: sh, dir: sdir})
+	switch {
+	case err != nil:
+	case found:
+		maxEpoch, err = s.recover(dir, seg, &ck)
+	case mf != nil && mf.Version == layoutPerShard:
+		maxEpoch, err = s.recoverLegacy(dir)
+	default:
+		maxEpoch, err = s.recover(dir, 0, nil)
+	}
+	if err != nil {
+		return fmt.Errorf("core: recovering %s: %w", dir, err)
 	}
 	// A commit whose events record was lost in the crash must still never
 	// see its epoch's sequence numbers reissued.
 	s.bus.ensureSeqAtLeast(maxEpoch)
 
-	// 3. Fresh segments, generation markers, persist hooks.
-	wopts := wal.Options{Policy: opts.Sync, SyncEvery: opts.SyncEvery}
-	if d.busLog, err = wal.OpenLog(d.busDir, wopts); err != nil {
-		return nil, err
-	}
-	d.busPersist = &persistLog{log: d.busLog}
+	// 3. Fresh segment, generation marker, commit-path hooks.
 	genRec, err := json.Marshal(&walRecord{T: recGen})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	for i := range d.shards {
-		lg, err := wal.OpenLog(d.shards[i].dir, wopts)
-		if err == nil {
-			err = lg.Append(genRec)
-		}
-		if err != nil {
-			d.closeLogs()
-			return nil, err
-		}
-		d.shards[i].log = lg
-		p := &persistLog{log: lg, health: d.health}
-		d.shards[i].m.persist = p
-		p.active.Store(true)
+	if d.log, err = wal.OpenLog(dir, wal.Options{Policy: opts.Sync, SyncEvery: opts.SyncEvery}); err != nil {
+		return err
 	}
-	d.busPersist.health = d.health
-	d.busPersist.active.Store(true)
-	s.bus.SetTap(d.busPersist.logEvents)
-	s.busPersist = d.busPersist
+	if err := d.log.Append(genRec); err != nil {
+		_ = d.log.Close()
+		return err
+	}
+	d.active.Store(true)
+	for _, sh := range s.shards {
+		sh.durable = d
+	}
+	s.durable = d
+	s.bus.SetTap(d.logEvents)
 
 	// 4. Re-arm expiry and advance id generators. Past-due promises fire
 	// (asynchronously) through the normal expiry path, which is now logged.
-	for _, sh := range d.shards {
-		snap := sh.m.store.Snapshot()
+	for _, sh := range s.shards {
+		snap := sh.store.Snapshot()
 		_ = snap.Scan(TablePromises, func(key string, row txn.Row) bool {
 			p := &row.(*promiseRow).p
 			if p.State == Active {
-				sh.m.trackExpiry(p.ID, p.Expires)
+				sh.trackExpiry(p.ID, p.Expires)
 			}
 			// Observe, not a raw suffix scan: a shard's table can hold
 			// promises migrated in from other shards, whose suffixes must
 			// not advance this shard's generator.
-			sh.m.promiseIDs.Observe(key)
+			sh.promiseIDs.Observe(key)
 			return true
 		})
 		_ = snap.Scan(TablePromisesDone, func(key string, _ txn.Row) bool {
-			sh.m.promiseIDs.Observe(key)
+			sh.promiseIDs.Observe(key)
 			return true
 		})
 	}
 
 	// 5. Initial checkpoint: prunes the recovered generation's segments so
-	// the fresh store's version numbering owns the retained log.
+	// the fresh stores' version numbering owns the retained log. Once it
+	// is durable, a per-shard layout is no longer needed.
 	if err := d.Checkpoint(); err != nil {
-		d.closeLogs()
-		return nil, fmt.Errorf("core: initial checkpoint: %w", err)
+		_ = d.log.Close()
+		return fmt.Errorf("core: initial checkpoint: %w", err)
 	}
-
-	// 6. Cadence.
+	if err := retireLegacy(dir, mf); err != nil {
+		_ = d.log.Close()
+		return fmt.Errorf("core: removing the per-shard layout: %w", err)
+	}
 	d.armCadence()
-	return d, nil
+	return nil
 }
 
-// recoverStore rebuilds one shard's store from its directory: checkpoint
-// tables in one transaction, then each retained commit record in its own,
-// all through the normal commit path. It returns the highest epoch seen on
-// a replayed record (zero when none).
-func recoverStore(m *shard, dir string) (maxEpoch uint64, err error) {
-	_, _, payload, err := wal.LatestCheckpoint(dir)
-	if err != nil {
-		return 0, err
+// readCheckpoint decodes dir's newest intact checkpoint into v and returns
+// the segment it covers up to; found is false when dir holds none.
+func readCheckpoint(dir string, v any) (seg uint64, found bool, err error) {
+	seg, _, payload, err := wal.LatestCheckpoint(dir)
+	if err != nil || payload == nil {
+		return 0, false, err
 	}
-	var threshold uint64 // replay skips records at or below this version
-	if payload != nil {
-		var ck storeCheckpoint
-		if err := json.Unmarshal(payload, &ck); err != nil {
-			return 0, fmt.Errorf("decoding checkpoint: %w", err)
+	if err := json.Unmarshal(payload, v); err != nil {
+		return 0, false, fmt.Errorf("decoding checkpoint in %s: %w", dir, err)
+	}
+	return seg, true, nil
+}
+
+// recover loads ck (nil: none) and replays the log from seg, the segment
+// ck covers up to.
+func (s *Manager) recover(dir string, seg uint64, ck *checkpoint) (uint64, error) {
+	ver := make([]uint64, len(s.shards))
+	if ck != nil {
+		if len(ck.Shards) != len(s.shards) {
+			return 0, fmt.Errorf("checkpoint holds %d shard(s), engine has %d", len(ck.Shards), len(s.shards))
 		}
-		threshold = ck.Ver
-		tx := m.store.Begin(txn.Block)
-		for tbl, rows := range ck.Tables {
-			for key, raw := range rows {
-				row, err := decodeRow(tbl, raw)
-				if err == nil {
-					err = tx.Put(tbl, key, row)
-				}
-				if err != nil {
-					_ = tx.Abort()
-					return 0, fmt.Errorf("restoring %s/%s: %w", tbl, key, err)
-				}
+		s.restoreBus(&ck.busCheckpoint)
+		for i := range ck.Shards {
+			if err := restoreStore(s.shards[i], &ck.Shards[i]); err != nil {
+				return 0, fmt.Errorf("shard %d: %w", i, err)
+			}
+			ver[i] = ck.Shards[i].Ver
+		}
+	}
+	return s.replayLog(dir, seg, ver, -1)
+}
+
+// legacyBusDir and legacyShardDir name the per-shard layout's logs.
+func legacyBusDir(dir string) string { return filepath.Join(dir, "bus") }
+
+func legacyShardDir(dir string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%d", i))
+}
+
+// recoverLegacy reads a directory in the per-shard layout the way it was
+// written: the bus log behind its checkpoint first, so sequence numbering
+// is back before any store replay stamps an epoch, then each shard's store
+// behind its own.
+func (s *Manager) recoverLegacy(dir string) (maxEpoch uint64, err error) {
+	var bus busCheckpoint
+	if _, found, err := readCheckpoint(legacyBusDir(dir), &bus); err != nil {
+		return 0, err
+	} else if found {
+		s.restoreBus(&bus)
+	}
+	if _, err := s.replayLog(legacyBusDir(dir), 0, make([]uint64, len(s.shards)), -1); err != nil {
+		return 0, fmt.Errorf("event log: %w", err)
+	}
+	for i, sh := range s.shards {
+		var ck storeCheckpoint
+		ver := make([]uint64, len(s.shards))
+		if _, found, err := readCheckpoint(legacyShardDir(dir, i), &ck); err != nil {
+			return 0, err
+		} else if found {
+			if err := restoreStore(sh, &ck); err != nil {
+				return 0, fmt.Errorf("shard %d: %w", i, err)
+			}
+			ver[i] = ck.Ver
+		}
+		e, err := s.replayLog(legacyShardDir(dir, i), 0, ver, i)
+		if err != nil {
+			return 0, fmt.Errorf("shard %d: %w", i, err)
+		}
+		maxEpoch = max(maxEpoch, e)
+	}
+	return maxEpoch, nil
+}
+
+// retireLegacy removes a converted directory's per-shard layout: the
+// manifest first, then the old logs. Called only once a single-log
+// checkpoint is durable, and on every open, so a crash part-way through
+// finishes on the next one.
+func retireLegacy(dir string, mf *Manifest) error {
+	if mf == nil {
+		return nil // a directory this open created never had the layout
+	}
+	if mf.Version == layoutPerShard {
+		if err := writeManifest(dir, mf.Shards); err != nil {
+			return err
+		}
+	}
+	if err := os.RemoveAll(legacyBusDir(dir)); err != nil {
+		return err
+	}
+	for i := 0; i < mf.Shards; i++ {
+		if err := os.RemoveAll(legacyShardDir(dir, i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// restoreStore loads one shard's checkpointed tables in one transaction.
+func restoreStore(m *shard, ck *storeCheckpoint) error {
+	tx := m.store.Begin(txn.Block)
+	for tbl, rows := range ck.Tables {
+		for key, raw := range rows {
+			row, err := decodeRow(tbl, raw)
+			if err == nil {
+				err = tx.Put(tbl, key, row)
+			}
+			if err != nil {
+				_ = tx.Abort()
+				return fmt.Errorf("restoring %s/%s: %w", tbl, key, err)
 			}
 		}
-		if err := tx.Commit(); err != nil {
-			return 0, err
-		}
 	}
-	_, err = wal.Replay(dir, func(p []byte) error {
+	return tx.Commit()
+}
+
+// restoreBus rewinds the bus and the composite directory to a checkpoint.
+func (s *Manager) restoreBus(ck *busCheckpoint) {
+	s.bus.restore(ck.Seq, ck.Ring)
+	for i := range ck.Composites {
+		s.restoreComposite(&ck.Composites[i])
+	}
+	for id, shard := range ck.Moved {
+		s.moved.Store(id, shard)
+	}
+	s.compIDs.EnsureAtLeast(ck.CompNext)
+}
+
+// replayLog replays dir's log from segment from, in log order, and returns
+// the highest epoch a commit record carried. ver[i] is the store version
+// shard i's checkpoint already covers; commit records at or below it are
+// skipped until a generation marker, after which the stores' version
+// numbering restarted and every commit replays. fixed >= 0 routes every
+// commit record to that shard (a per-shard-layout log); otherwise each
+// record names its shard. Event replay skips Seqs the bus already holds,
+// and directory records are plain overwrites, so both are idempotent.
+func (s *Manager) replayLog(dir string, from uint64, ver []uint64, fixed int) (maxEpoch uint64, err error) {
+	_, err = wal.Replay(dir, from, func(p []byte) error {
 		var rec walRecord
 		if err := json.Unmarshal(p, &rec); err != nil {
 			return err
 		}
 		switch rec.T {
 		case recGen:
-			// Everything after this marker was written by a later engine
-			// generation, on top of exactly the state replay has just
-			// rebuilt; its version numbering restarted, so the checkpoint
-			// threshold no longer applies.
-			threshold = 0
-			return nil
-		case recCommit:
-		default:
-			return nil
-		}
-		if rec.Epoch > maxEpoch {
-			maxEpoch = rec.Epoch
-		}
-		if rec.Ver <= threshold {
-			return nil // already inside the checkpoint
-		}
-		tx := m.store.Begin(txn.Block)
-		for _, ch := range rec.Changes {
-			var err error
-			if ch.Row == nil {
-				if err = tx.Delete(ch.Table, ch.Key); errors.Is(err, txn.ErrNotFound) {
-					err = nil // delete of a row an earlier record never created here
-				}
-			} else {
-				var row txn.Row
-				if row, err = decodeRow(ch.Table, ch.Row); err == nil {
-					err = tx.Put(ch.Table, ch.Key, row)
-				}
-			}
-			if err != nil {
-				_ = tx.Abort()
-				return fmt.Errorf("replaying %s/%s: %w", ch.Table, ch.Key, err)
-			}
-		}
-		return tx.Commit()
-	})
-	return maxEpoch, err
-}
-
-// recoverBus rebuilds the shared bus and the composite directory from the
-// bus checkpoint and log tail. Replay is idempotent: events at or below the
-// restored cursor are skipped and directory records are plain overwrites.
-func (s *Manager) recoverBus(dir string) error {
-	_, _, payload, err := wal.LatestCheckpoint(dir)
-	if err != nil {
-		return err
-	}
-	if payload != nil {
-		var ck busCheckpoint
-		if err := json.Unmarshal(payload, &ck); err != nil {
-			return fmt.Errorf("decoding bus checkpoint: %w", err)
-		}
-		s.bus.restore(ck.Seq, ck.Ring)
-		for i := range ck.Composites {
-			s.restoreComposite(&ck.Composites[i])
-		}
-		for id, shard := range ck.Moved {
-			s.moved.Store(id, shard)
-		}
-		s.compIDs.EnsureAtLeast(ck.CompNext)
-	}
-	_, err = wal.Replay(dir, func(p []byte) error {
-		var rec walRecord
-		if err := json.Unmarshal(p, &rec); err != nil {
-			return err
-		}
-		switch rec.T {
+			clear(ver)
 		case recEvents:
 			s.bus.restoreEvents(rec.Events)
 		case recDir:
 			s.applyDirRecord(&rec)
+		case recCommit:
+			sh := rec.Shard
+			if fixed >= 0 {
+				sh = fixed
+			}
+			if sh < 0 || sh >= len(s.shards) {
+				return fmt.Errorf("commit record for shard %d of %d", sh, len(s.shards))
+			}
+			maxEpoch = max(maxEpoch, rec.Epoch)
+			if rec.Ver > ver[sh] {
+				return replayCommit(s.shards[sh], &rec)
+			}
 		}
 		return nil
 	})
-	return err
+	return maxEpoch, err
+}
+
+// replayCommit re-applies one commit record in a transaction of its own,
+// through the normal commit path, so the candidate index, snapshots and
+// sentinels rebuild exactly as they were built the first time.
+func replayCommit(m *shard, rec *walRecord) error {
+	tx := m.store.Begin(txn.Block)
+	for _, ch := range rec.Changes {
+		var err error
+		if ch.Row == nil {
+			if err = tx.Delete(ch.Table, ch.Key); errors.Is(err, txn.ErrNotFound) {
+				err = nil // delete of a row an earlier record never created here
+			}
+		} else {
+			var row txn.Row
+			if row, err = decodeRow(ch.Table, ch.Row); err == nil {
+				err = tx.Put(ch.Table, ch.Key, row)
+			}
+		}
+		if err != nil {
+			_ = tx.Abort()
+			return fmt.Errorf("replaying %s/%s: %w", ch.Table, ch.Key, err)
+		}
+	}
+	return tx.Commit()
 }
 
 // restoreComposite re-installs one checkpointed composite-directory entry.
@@ -412,44 +471,18 @@ func (s *Manager) applyDirRecord(rec *walRecord) {
 			s.restoreComposite(rec.Comp)
 		}
 	case dirMove:
-		if rec.Shard < 0 {
-			// A federated migrate-out: the slot left this node entirely,
-			// so its moved entry (if any) is retired rather than re-homed.
-			s.moved.Delete(rec.Promise)
-			return
-		}
-		s.moved.Store(rec.Promise, rec.Shard)
 		s.dirMu.Lock()
-		cid, ok := s.partOf[rec.Promise]
+		s.rehomeLocked(rec.Promise, rec.Shard)
 		s.dirMu.Unlock()
-		if !ok {
-			return
-		}
-		v, ok := s.dir.Load(cid)
-		if !ok {
-			return
-		}
-		old := v.(*composite)
-		fresh := &composite{
-			client:  old.client,
-			expires: old.expires,
-			parts:   append([]compositePart(nil), old.parts...),
-		}
-		for i := range fresh.parts {
-			if fresh.parts[i].id == rec.Promise {
-				fresh.parts[i].shard = rec.Shard
-			}
-		}
-		s.dir.Store(cid, fresh)
 	case dirDrop:
 		s.dropComposite(rec.ID)
 	}
 }
 
 // Checkpoint serializes the engine's current state into the data directory
-// and truncates the logs behind it. Safe to call while the engine serves
-// requests: logs rotate first, state is captured after, so every pruned
-// record is covered by the written checkpoint.
+// and truncates the log behind it. Safe to call while the engine serves
+// requests: the log rotates first, state is captured after, so every
+// pruned record is covered by the written checkpoint.
 func (d *durableEngine) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -460,39 +493,20 @@ func (d *durableEngine) Checkpoint() error {
 }
 
 func (d *durableEngine) checkpointLocked() error {
-	// Rotate every log before capturing anything: a record in a pre-
-	// rotation segment was appended after its snapshot (or bus/directory
-	// mutation) published, so state captured now covers it.
-	busKeep, err := d.busLog.Rotate()
+	// Rotate before capturing anything: a record in a pre-rotation segment
+	// was appended after its snapshot (or bus/directory mutation)
+	// published, so state captured now covers it.
+	keep, err := d.log.Rotate()
 	if err != nil {
 		return err
 	}
-	shardKeep := make([]uint64, len(d.shards))
-	for i := range d.shards {
-		if shardKeep[i], err = d.shards[i].log.Rotate(); err != nil {
+	ck := checkpoint{Shards: make([]storeCheckpoint, len(d.s.shards))}
+	for i, sh := range d.s.shards {
+		if ck.Shards[i], err = captureStore(sh.store.Snapshot()); err != nil {
 			return err
 		}
 	}
-	for i := range d.shards {
-		sh := d.shards[i]
-		snap := sh.m.store.Snapshot()
-		payload, err := encodeStoreCheckpoint(snap)
-		if err != nil {
-			return err
-		}
-		// Checkpoints are named by the segment they cover up to — the one
-		// monotonic ordinal a directory has across process generations
-		// (store versions restart on a fresh store; snapshot epochs are not
-		// monotonic around engine construction).
-		if err := wal.WriteCheckpoint(sh.dir, shardKeep[i], snap.Version(), payload); err != nil {
-			return err
-		}
-		if err := sh.log.RemoveSegmentsBefore(shardKeep[i]); err != nil {
-			return err
-		}
-	}
-	seq, ring := d.bus.snapshotRing()
-	ck := busCheckpoint{Seq: seq, Ring: ring}
+	ck.Seq, ck.Ring = d.s.bus.snapshotRing()
 	for id, c := range d.s.snapshotDir() {
 		ck.Composites = append(ck.Composites, *compositeToWal(id, c))
 	}
@@ -505,14 +519,17 @@ func (d *durableEngine) checkpointLocked() error {
 		ck.Moved = moved
 	}
 	ck.CompNext = d.s.compIDs.Count()
-	payload, err := json.Marshal(ck)
+	payload, err := json.Marshal(&ck)
 	if err != nil {
 		return err
 	}
-	if err := wal.WriteCheckpoint(d.busDir, busKeep, seq, payload); err != nil {
+	// Checkpoints are named by the segment they cover up to — the one
+	// monotonic ordinal a directory has across process generations (store
+	// versions restart on a fresh store).
+	if err := wal.WriteCheckpoint(d.dir, keep, ck.Seq, payload); err != nil {
 		return err
 	}
-	if err := d.busLog.RemoveSegmentsBefore(busKeep); err != nil {
+	if err := d.log.RemoveSegmentsBefore(keep); err != nil {
 		return err
 	}
 	d.checkpoints.Add(1)
@@ -568,13 +585,12 @@ func (d *durableEngine) armReprobe() {
 	})
 }
 
-// reprobe tests whether the logs accept writes again: one probe record
-// appended and synced per log, then a full checkpoint. Commits that kept
-// mutating memory while their appends failed (expiries, the request that
-// tripped the latch) left holes in the log; the checkpoint recaptures the
-// complete state, so the latches can be cleared without a future recovery
-// ever replaying an incomplete history. Reports whether service was
-// restored.
+// reprobe tests whether the log accepts writes again: one probe record
+// appended and synced, then a full checkpoint. Commits that kept mutating
+// memory while their appends failed (expiries, the request that tripped
+// the latch) left holes in the log; the checkpoint recaptures the complete
+// state, so the latch can be cleared without a future recovery ever
+// replaying an incomplete history. Reports whether service was restored.
 func (d *durableEngine) reprobe() bool {
 	d.probeMu.Lock()
 	closed := d.probeClosed
@@ -586,29 +602,20 @@ func (d *durableEngine) reprobe() bool {
 	if err != nil {
 		return false
 	}
-	probe := func(l *wal.Log) bool {
-		return l.Append(rec) == nil && l.Sync() == nil
-	}
-	for _, sh := range d.shards {
-		if !probe(sh.log) {
-			return false
-		}
-	}
-	if !probe(d.busLog) {
+	if d.log.Append(rec) != nil || d.log.Sync() != nil {
 		return false
 	}
 	if err := d.Checkpoint(); err != nil {
 		return false
 	}
-	for _, sh := range d.shards {
-		sh.m.persist.clearLatched()
-	}
-	d.busPersist.clearLatched()
+	d.errMu.Lock()
+	d.err = nil
+	d.errMu.Unlock()
 	d.health.clear()
 	return true
 }
 
-// close flushes everything, writes a final checkpoint, and closes the logs.
+// close flushes everything, writes a final checkpoint, and closes the log.
 // Idempotent. Callers should have quiesced requests first: a commit racing
 // past the final state capture survives only in memory.
 func (d *durableEngine) close() error {
@@ -633,8 +640,8 @@ func (d *durableEngine) close() error {
 	}
 	// Quiesce the engine's own background activity before the final
 	// capture: deadline alarms would otherwise commit into a closed log.
-	for _, sh := range d.shards {
-		sh.m.exp.shutdown()
+	for _, sh := range d.s.shards {
+		sh.exp.shutdown()
 	}
 
 	d.mu.Lock()
@@ -644,35 +651,15 @@ func (d *durableEngine) close() error {
 	}
 	// Deactivate persistence first, then capture: everything committed up
 	// to the capture lands in the final checkpoint whether or not its
-	// record made the log, and nothing appends to the rotated logs after.
-	for _, sh := range d.shards {
-		sh.m.persist.active.Store(false)
-	}
-	d.busPersist.active.Store(false)
-	d.bus.SetTap(nil)
+	// record made the log, and nothing appends to the rotated log after.
+	d.active.Store(false)
+	d.s.bus.SetTap(nil)
 	firstErr := d.checkpointLocked()
 	d.closed = true
-	for _, sh := range d.shards {
-		if err := sh.log.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := d.busLog.Close(); err != nil && firstErr == nil {
+	if err := d.log.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
-}
-
-// closeLogs is the open-path error cleanup: close whatever logs opened.
-func (d *durableEngine) closeLogs() {
-	for _, sh := range d.shards {
-		if sh.log != nil {
-			_ = sh.log.Close()
-		}
-	}
-	if d.busLog != nil {
-		_ = d.busLog.Close()
-	}
 }
 
 // Checkpoint forces a checkpoint of a durable Manager; see

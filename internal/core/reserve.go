@@ -471,8 +471,10 @@ func (r *Reservation) StampPreemptedBy(by string) {
 	}
 }
 
-// Confirm commits the reservation: the tentative releases and grants become
-// durable and the shard's counters record the work.
+// Confirm commits the reservation: the tentative releases and grants take
+// effect and the shard's counters record the work. It reports a latched
+// append failure; the entry point that drove the session syncs the log
+// once it has released its shard locks.
 func (r *Reservation) Confirm() error {
 	if r.done {
 		return fmt.Errorf("core: reservation already finished")
@@ -489,7 +491,7 @@ func (r *Reservation) Confirm() error {
 	}
 	m.bus.publish(r.st.events...)
 	m.pubMu.Unlock()
-	syncErr := m.durSync()
+	durErr := m.durable.latched()
 	for _, f := range r.st.postCommit {
 		f()
 	}
@@ -505,8 +507,8 @@ func (r *Reservation) Confirm() error {
 	if len(r.st.sweptDue) > 0 {
 		m.exp.removeDue(m.clk.Now(), r.st.sweptDue)
 	}
-	if syncErr != nil {
-		return fmt.Errorf("core: commit not durable: %w", syncErr)
+	if durErr != nil {
+		return fmt.Errorf("core: commit not durable: %w", durErr)
 	}
 	return nil
 }

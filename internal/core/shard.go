@@ -47,9 +47,11 @@ type shard struct {
 	// its events, so bus order equals commit order and a promise's
 	// lifecycle events can never invert.
 	pubMu sync.Mutex
-	// persist mirrors this store's commits into the shard's write-ahead
+	// index is the shard's position in the engine; commit records carry it.
+	index int
+	// durable mirrors this store's commits into the engine's write-ahead
 	// log; nil on a non-durable engine.
-	persist *persistLog
+	durable *durableEngine
 	// health is the shared degraded-mode latch (nil on a non-durable
 	// engine, which cannot degrade).
 	health *engineHealth
@@ -280,12 +282,11 @@ func (m *shard) execute(ctx context.Context, req Request) (_ *Response, err erro
 	committed = true
 	m.bus.publish(st.events...)
 	m.pubMu.Unlock()
-	// Force the commit and its events to stable storage (per the sync
-	// policy) before anything is reported to the caller. The commit stands
-	// either way; the error tells the caller its outcome may not survive a
-	// crash. Bookkeeping below still runs so the live engine stays
-	// consistent.
-	syncErr := m.durSync()
+	// A failed append of the commit or its events means its outcome may not
+	// survive a crash. The commit stands either way, and bookkeeping below
+	// still runs so the live engine stays consistent. The sync itself is
+	// the entry point's, after the shard lock is released.
+	durErr := m.durable.latched()
 	m.metrics.releases.Add(st.released)
 	m.metrics.expirations.Add(st.expired)
 	m.metrics.preemptions.Add(st.preempted)
@@ -305,8 +306,8 @@ func (m *shard) execute(ctx context.Context, req Request) (_ *Response, err erro
 	if len(st.sweptDue) > 0 {
 		m.exp.removeDue(m.clk.Now(), st.sweptDue)
 	}
-	if syncErr != nil {
-		return nil, fmt.Errorf("core: commit not durable: %w", syncErr)
+	if durErr != nil {
+		return nil, fmt.Errorf("core: commit not durable: %w", durErr)
 	}
 	return resp, nil
 }

@@ -1,11 +1,11 @@
-// Package experiments implements the evaluation suite of EXPERIMENTS.md.
+// Package experiments implements the reproduction's evaluation suite.
 //
 // The paper is a position paper with no quantitative evaluation, so each
 // experiment here validates one falsifiable claim made in its prose, or
-// reproduces one of its two figures as a runnable artifact. The experiment
-// ids (E1–E11) are indexed in DESIGN.md; cmd/promise-bench regenerates the
-// tables, and the repo-root bench_test.go exposes the same workloads as
-// testing.B benchmarks.
+// reproduces one of its two figures as a runnable artifact. The claim tests
+// in experiments_test.go (E1–E11) state and assert each claim;
+// cmd/promise-bench prints the tables, and the repo-root bench_test.go
+// exposes the same workloads as testing.B benchmarks.
 package experiments
 
 import (

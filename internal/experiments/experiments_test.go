@@ -8,8 +8,9 @@ import (
 )
 
 // The experiment suite is the reproduction's evaluation; these tests run
-// every experiment in quick mode and assert the *shape* claims recorded in
-// EXPERIMENTS.md, so a regression in the system shows up as a failed shape.
+// every experiment in quick mode and assert its *shape* claim (E1–E11), so
+// a regression in the system shows up as a failed shape. They are the
+// record of what each experiment claims.
 
 func cell(t *testing.T, tbl *Table, row, col int) string {
 	t.Helper()

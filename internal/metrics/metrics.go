@@ -1,6 +1,7 @@
 // Package metrics provides the lightweight counters and latency histograms
 // used by the benchmark harness (cmd/promise-bench) and by integration tests
-// to report the experiment rows recorded in EXPERIMENTS.md.
+// to report the experiment rows whose claims
+// internal/experiments/experiments_test.go asserts (E1–E11).
 package metrics
 
 import (

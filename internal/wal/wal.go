@@ -1,10 +1,11 @@
 // Package wal is the durability layer under the promise engine: an
 // append-only, CRC-framed, segmented log plus an atomically written
-// checkpoint store (checkpoint.go). The promise manager appends one record
-// per committed transaction and per published event batch; on restart it
-// loads the latest checkpoint and replays the retained log tail through its
-// normal commit path, so a recovered engine is equivalent to one that never
-// died (see internal/core's OpenDurable).
+// checkpoint store (checkpoint.go). A durable promise manager appends every
+// record — each shard's commits, event batches, directory changes — to one
+// Log per data directory; on restart it loads the latest checkpoint and
+// replays the log behind it through its normal commit path, so a recovered
+// engine is equivalent to one that never died (see internal/core's
+// OpenDurable).
 //
 // Framing. Every record is length-prefixed and guarded by a CRC-32C of its
 // payload, so a torn write at the tail of the last segment — the signature
@@ -31,6 +32,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/failpoint"
@@ -136,8 +138,8 @@ type Log struct {
 	appended uint64 // monotone count of appended frames, the group-commit token
 	closed   bool
 
-	syncMu sync.Mutex // serializes fsyncs; guards synced
-	synced uint64     // appended-token already on disk
+	syncMu sync.Mutex    // serializes fsyncs; guards writes to synced
+	synced atomic.Uint64 // appended-token already on disk
 
 	stop chan struct{} // closes the interval syncer
 	wg   sync.WaitGroup
@@ -208,9 +210,6 @@ func (l *Log) Segment() uint64 {
 	return l.seg
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Append writes one framed record. The record reaches the kernel before
 // Append returns; Sync (or the policy's background cadence) moves it to
 // stable storage.
@@ -264,7 +263,7 @@ func (l *Log) fsync() error {
 
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
-	if l.synced >= target {
+	if l.synced.Load() >= target {
 		return nil // a concurrent committer's fsync already covered us
 	}
 	if err := failpoint.Eval("wal/sync"); err != nil {
@@ -273,10 +272,20 @@ func (l *Log) fsync() error {
 	if err := f.Sync(); err != nil {
 		return err
 	}
-	if target > l.synced {
-		l.synced = target
+	if target > l.synced.Load() {
+		l.synced.Store(target)
 	}
 	return nil
+}
+
+// Progress reports how many records have been appended since the log was
+// opened and how many of them a completed fsync covers. It never waits for
+// a sync in flight.
+func (l *Log) Progress() (appended, synced uint64) {
+	l.mu.Lock()
+	appended = l.appended
+	l.mu.Unlock()
+	return appended, l.synced.Load()
 }
 
 func (l *Log) syncLoop() {
@@ -311,7 +320,7 @@ func (l *Log) Rotate() (uint64, error) {
 	if err := l.f.Sync(); err != nil {
 		return 0, err
 	}
-	l.synced = l.appended
+	l.synced.Store(l.appended)
 	if err := l.f.Close(); err != nil {
 		return 0, err
 	}
@@ -381,16 +390,26 @@ type ReplayStats struct {
 // segment — unlike a torn tail, an interior hole cannot be skipped safely.
 var ErrCorrupt = errors.New("wal: corrupt record before log tail")
 
-// Replay reads every intact record in dir's segments in order, calling fn
-// with each payload. A torn or CRC-corrupt record at the very tail of the
-// last segment is discarded and reported in the stats, not as an error; the
-// same damage anywhere earlier returns ErrCorrupt. fn returning an error
-// stops the replay.
-func Replay(dir string, fn func(payload []byte) error) (ReplayStats, error) {
+// Replay reads every intact record in dir's segments numbered from and
+// above, in order, calling fn with each payload. Passing the segment a
+// checkpoint covers up to replays exactly the tail it leaves: older
+// segments a crash kept from being pruned are never read, and a missing
+// segment from (pruned behind a newer checkpoint) is ErrCorrupt, since the
+// records in it are lost. A torn or CRC-corrupt record at the very tail of
+// the last segment is discarded and reported in the stats, not as an
+// error; the same damage anywhere earlier returns ErrCorrupt. fn returning
+// an error stops the replay.
+func Replay(dir string, from uint64, fn func(payload []byte) error) (ReplayStats, error) {
 	var stats ReplayStats
 	segs, err := listSegments(dir)
 	if err != nil {
 		return stats, err
+	}
+	for len(segs) > 0 && segs[0] < from {
+		segs = segs[1:]
+	}
+	if from > 0 && (len(segs) == 0 || segs[0] != from) {
+		return stats, fmt.Errorf("%w: segment %s is missing", ErrCorrupt, segName(from))
 	}
 	for i, n := range segs {
 		stats.Segments++

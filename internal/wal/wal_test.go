@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,7 +26,7 @@ func appendAll(t *testing.T, l *Log, payloads ...[]byte) {
 func collect(t *testing.T, dir string) ([][]byte, ReplayStats) {
 	t.Helper()
 	var got [][]byte
-	stats, err := Replay(dir, func(p []byte) error {
+	stats, err := Replay(dir, 0, func(p []byte) error {
 		got = append(got, append([]byte(nil), p...))
 		return nil
 	})
@@ -105,6 +106,38 @@ func TestLogRotateAndPrune(t *testing.T) {
 	got, _ := collect(t, dir)
 	if len(got) != 1 || string(got[0]) != "new-1" {
 		t.Fatalf("after prune replay = %q, want [new-1]", got)
+	}
+}
+
+// TestReplayFromSegment pins Replay's from argument: segments below it are
+// never read, even when damaged, and a missing segment from is a hole in
+// the history, reported as ErrCorrupt.
+func TestReplayFromSegment(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, Options{})
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	defer l.Close()
+	appendAll(t, l, []byte("old"))
+	old := l.Segment()
+	from, err := l.Rotate()
+	if err != nil {
+		t.Fatalf("Rotate: %v", err)
+	}
+	appendAll(t, l, []byte("new"))
+	if err := os.WriteFile(filepath.Join(dir, segName(old)), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	if _, err := Replay(dir, from, func(p []byte) error {
+		got = append(got, string(p))
+		return nil
+	}); err != nil || len(got) != 1 || got[0] != "new" {
+		t.Fatalf("Replay from %d = %q, %v; want [new]", from, got, err)
+	}
+	if _, err := Replay(dir, from+1, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Replay from a missing segment = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -198,7 +231,7 @@ func TestReplayInteriorCorruptionFatal(t *testing.T) {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatalf("rewrite segment: %v", err)
 	}
-	if _, err := Replay(dir, func([]byte) error { return nil }); err == nil {
+	if _, err := Replay(dir, 0, func([]byte) error { return nil }); err == nil {
 		t.Fatalf("Replay of interior corruption succeeded, want error")
 	}
 }

@@ -62,7 +62,7 @@ type Engine interface {
 	// report, not an error.
 	Audit() (*AuditReport, error)
 	// Close shuts the engine down cleanly. On a durable engine (Open with
-	// WithDataDir) it takes a final checkpoint and closes the logs, so the
+	// WithDataDir) it takes a final checkpoint and closes the log, so the
 	// next Open recovers without replaying; on an in-memory engine it only
 	// stops background expiry alarms; on a remote engine it releases idle
 	// connections (the daemon's state is the daemon's). Close after
