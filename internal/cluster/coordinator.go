@@ -516,15 +516,6 @@ func (c *Coordinator) BreakerStates() map[string]BreakerState {
 	return breakerStates(c.ports)
 }
 
-// SetState forces a member's state (tests and operator tooling).
-func (c *Coordinator) SetState(id string, st NodeState) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if h, ok := c.health[id]; ok {
-		h.state = st
-	}
-}
-
 // StatusEndpoint serves the coordinator's cluster view.
 const StatusEndpoint = "/cluster/status"
 
@@ -562,15 +553,4 @@ func (c *Coordinator) Handler() http.Handler {
 		_, _ = w.Write([]byte(b.String()))
 	})
 	return mux
-}
-
-// sortedStates is a test helper: node id -> state.
-func (c *Coordinator) sortedStates() map[string]NodeState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]NodeState, len(c.health))
-	for id, h := range c.health {
-		out[id] = h.state
-	}
-	return out
 }

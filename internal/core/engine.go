@@ -128,6 +128,9 @@ type Manager struct {
 	// health is the shared degraded-mode latch (nil on a non-durable
 	// engine, which cannot degrade).
 	health *engineHealth
+
+	// alarm is the one deadline alarm over every shard's expiry heap.
+	alarm *deadlineAlarm
 }
 
 // composite records how a cross-shard promise decomposes into per-shard
@@ -274,6 +277,7 @@ func New(cfg Config) (*Manager, error) {
 		compIDs: ids.New(ns + "shp"),
 		partOf:  make(map[string]string),
 	}
+	s.alarm = newDeadlineAlarm(cfg.Clock, s.expireDue)
 	// dirMu is a leaf lock, safe to take under any shard lock.
 	notPart := func(id string) bool {
 		s.dirMu.Lock()
@@ -287,32 +291,41 @@ func New(cfg Config) (*Manager, error) {
 			return nil, err
 		}
 		sh.index = i
-		sh.exp.fire = func() { s.expireDue(sh) }
+		sh.alarm = s.alarm
 		s.shards = append(s.shards, sh)
 	}
 	return s, nil
 }
 
-// expireDue is a shard's alarm callback. The deadline pass covers every
-// shard with an entry due, in shard order, whichever shard's alarm fired:
-// expiries one clock instant reaches then publish in one order however the
-// shards' alarms happened to be armed — a recovered engine re-arms them
-// in shard order, a long-running one in the order its history left them.
-// A failed pass re-arms itself on a backoff; the counter is how the
-// failure surfaces (Stats.ExpiryErrors) — there is no caller to return
-// the error to, nor to report a failed sync of the pass's events to. The
-// pass syncs the log once, after every shard lock is released; a crash
-// before that replays the promises as active, and they expire again on
-// recovery.
-func (s *Manager) expireDue(fired *shard) {
+// expireDue is the deadline pass the engine's one alarm runs, never two at
+// once (deadlineAlarm.fire). It visits, in shard order, only the shards
+// whose heap top is due, so expiries one clock instant reaches publish in
+// one order. It then re-arms the alarm at the earliest heap top; after a
+// failed expiry transaction the retry waits out a 100 ms backoff, and the
+// counter is how the failure surfaces (Stats.ExpiryErrors) — there is no
+// caller to return the error to, nor to report a failed sync of the pass's
+// events to. The pass syncs the log once, after every shard lock is
+// released; a crash before that replays the promises as active, and they
+// expire again on recovery.
+func (s *Manager) expireDue() {
 	now := s.clk.Now()
+	var floor, next time.Time
 	for _, sh := range s.shards {
-		if sh != fired && len(sh.exp.dueEntries(now)) == 0 {
-			continue
+		if sh.exp.due(now) {
+			if err := sh.expireDue(); err != nil {
+				sh.metrics.expiryErrors.Inc()
+				floor = now.Add(100 * time.Millisecond)
+			}
 		}
-		if err := sh.expireDue(); err != nil {
-			sh.metrics.expiryErrors.Inc()
+		if at, ok := sh.exp.top(); ok && (next.IsZero() || at.Before(next)) {
+			next = at
 		}
+	}
+	if !next.IsZero() {
+		if next.Before(floor) {
+			next = floor
+		}
+		s.alarm.lower(next)
 	}
 	_ = s.durable.sync()
 }

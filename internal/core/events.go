@@ -248,13 +248,6 @@ func (b *EventBus) snapshotRing() (uint64, []Event) {
 	return b.seq.Load(), append([]Event(nil), b.ring...)
 }
 
-// NewEventBus returns an empty bus with the default replay ring. The ring
-// grows with publication (up to its capacity), so an engine that never
-// emits pays nothing.
-func NewEventBus() *EventBus {
-	return NewEventBusCap(DefaultReplayRing)
-}
-
 // NewEventBusCap returns an empty bus whose replay ring retains up to cap
 // events (cap <= 0 means DefaultReplayRing). A larger ring lets
 // reconnecting subscribers resume across longer outages at the cost of

@@ -3,7 +3,9 @@ package core
 import (
 	"container/heap"
 	"errors"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -12,22 +14,26 @@ import (
 
 // This file replaces the per-request expiry sweep — a scan of every active
 // promise, the dominant linear cost under load — with a per-shard min-heap
-// on deadlines driven by the injected clock. Expiry is now O(expired):
+// on deadlines and one clock alarm for the whole engine. Expiry is
+// O(expired):
 //
-//   - every grant pushes an entry (and, when Config.ExpiryWarning is set, a
-//     warning entry) and keeps one clock alarm scheduled for the heap top;
-//   - at a deadline the alarm pops the due entries, lapses the promises in
-//     one transaction of their own, frees their holds, and publishes
-//     Expired (or ExpiryImminent) events — at the deadline, not at the next
-//     request;
+//   - every grant pushes an entry into its shard's heap (and, when
+//     Config.ExpiryWarning is set, a warning entry) and lowers the engine's
+//     alarm if the entry falls due before the armed instant;
+//   - at a deadline the alarm runs the deadline pass (Manager.expireDue,
+//     one at a time): in shard order it visits each shard whose heap top is
+//     due, lapses the due promises in one transaction of their own, frees
+//     their holds, and publishes Expired (or ExpiryImminent) events — at
+//     the deadline, not at the next request;
 //   - the request path keeps exact availability without scanning: it peeks
-//     the heap for entries already due (normally none, since the alarm ran
-//     at the deadline) and lapses just those inside the request transaction.
+//     its shard's heap for entries already due (normally none, since the
+//     pass ran at the deadline) and lapses just those inside the request
+//     transaction.
 //
 // Entries are an index, not truth: a released or migrated-away promise
 // leaves a stale entry behind, and the pop simply skips ids that are no
 // longer active here. Clocks that do not implement clock.Alarmer get no
-// alarms; expiry then happens on the request path only, still in
+// alarm; expiry then happens on the request path only, still in
 // O(expired).
 
 // expiryEntry is one scheduled wake-up for a promise: its deadline, or the
@@ -49,19 +55,14 @@ func (h expiryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *expiryHeap) Push(x any)        { *h = append(*h, x.(expiryEntry)) }
 func (h *expiryHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// expiryIndex owns one shard's deadline heap and the single clock alarm
-// armed for its top.
+// expiryIndex owns one shard's deadline heap.
 type expiryIndex struct {
 	mu      sync.Mutex
 	h       expiryHeap
 	nextSeq uint64
-	alarmer clock.Alarmer // nil when the clock cannot alarm
-	fire    func()        // the alarm callback New installs around shard.expireDue
-	stop    func()
-	alarmAt time.Time
 }
 
-// track registers entries and re-arms the alarm if one now fires earlier.
+// track registers entries.
 func (x *expiryIndex) track(entries ...expiryEntry) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -70,45 +71,22 @@ func (x *expiryIndex) track(entries ...expiryEntry) {
 		x.nextSeq++
 		heap.Push(&x.h, entries[i])
 	}
-	x.scheduleLocked()
 }
 
-// scheduleLocked keeps exactly one alarm armed, at the heap top.
-func (x *expiryIndex) scheduleLocked() { x.armLocked(time.Time{}, false) }
-
-// armLocked is the single-armed-alarm invariant: one alarm, at the heap
-// top (never earlier than floor). force re-arms even when an alarm is
-// already pending at or before the top — the retry/backoff path.
-func (x *expiryIndex) armLocked(floor time.Time, force bool) {
-	if x.alarmer == nil || len(x.h) == 0 {
-		return
-	}
-	at := x.h[0].at
-	if at.Before(floor) {
-		at = floor
-	}
-	if !force && x.stop != nil && !x.alarmAt.After(at) {
-		return // the armed alarm fires first (or at the same instant)
-	}
-	if x.stop != nil {
-		x.stop()
-	}
-	x.alarmAt = at
-	x.stop = x.alarmer.AfterFunc(at, x.fire)
-}
-
-// alarmConsumed retires the armed alarm before a deadline pass, so the
-// pass's final schedule re-arms fresh. Stopping is a no-op when the alarm
-// itself triggered the pass; it keeps the single-armed-alarm invariant
-// whatever started the pass.
-func (x *expiryIndex) alarmConsumed() {
+// top returns the earliest entry's instant; ok is false on an empty heap.
+func (x *expiryIndex) top() (at time.Time, ok bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.stop != nil {
-		x.stop()
+	if len(x.h) == 0 {
+		return time.Time{}, false
 	}
-	x.stop = nil
-	x.alarmAt = time.Time{}
+	return x.h[0].at, true
+}
+
+// due reports whether an entry is due at now, in O(1).
+func (x *expiryIndex) due(now time.Time) bool {
+	at, ok := x.top()
+	return ok && !at.After(now)
 }
 
 // dueEntries returns copies of every entry due at now, leaving the heap
@@ -119,9 +97,6 @@ func (x *expiryIndex) alarmConsumed() {
 func (x *expiryIndex) dueEntries(now time.Time) []expiryEntry {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if len(x.h) == 0 || x.h[0].at.After(now) {
-		return nil
-	}
 	var due []expiryEntry
 	for len(x.h) > 0 && !x.h[0].at.After(now) {
 		due = append(due, heap.Pop(&x.h).(expiryEntry))
@@ -133,7 +108,7 @@ func (x *expiryIndex) dueEntries(now time.Time) []expiryEntry {
 }
 
 // removeDue deletes the given processed entries (matched by seq, so a
-// concurrent remover is harmless) and re-arms the alarm for the new top.
+// concurrent remover is harmless).
 func (x *expiryIndex) removeDue(now time.Time, processed []expiryEntry) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -151,29 +126,99 @@ func (x *expiryIndex) removeDue(now time.Time, processed []expiryEntry) {
 	for _, e := range keep {
 		heap.Push(&x.h, e)
 	}
-	x.scheduleLocked()
 }
 
-// reschedule re-arms the alarm for the heap top, never earlier than floor —
-// the retry backoff after a failed expiry transaction.
-func (x *expiryIndex) reschedule(floor time.Time) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.armLocked(floor, true)
-}
-
-// shutdown cancels the armed alarm and empties the heap so no further
-// deadline passes fire — engine Close. Entries are not processed; a durable
-// engine re-arms them from its store on the next open.
+// shutdown empties the heap so no further deadline passes fire — engine
+// Close. Entries are not processed; a durable engine re-arms them from its
+// store on the next open.
 func (x *expiryIndex) shutdown() {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.stop != nil {
-		x.stop()
-	}
-	x.stop = nil
-	x.alarmAt = time.Time{}
 	x.h = nil
+}
+
+// deadlineAlarm is the engine's one expiry alarm, armed at the earliest
+// heap top across all shards, and the single-flight guard around the
+// deadline pass it runs.
+type deadlineAlarm struct {
+	alarmer clock.Alarmer // nil when the clock cannot alarm
+	pass    func()        // Manager.expireDue
+
+	// mu guards arming. at mirrors the pending alarm's instant in Unix
+	// nanoseconds (math.MaxInt64 when none is pending), so lower skips mu
+	// when the pending alarm fires first. gen tells the pending alarm's
+	// firing from a replaced one's that had already fired.
+	mu   sync.Mutex
+	stop func()
+	gen  uint64
+	at   atomic.Int64
+
+	// runs is 0 while no pass runs, 1 while one runs, and more once a
+	// firing has asked the running pass to run again.
+	runs atomic.Int32
+}
+
+func newDeadlineAlarm(clk clock.Clock, pass func()) *deadlineAlarm {
+	a := &deadlineAlarm{pass: pass}
+	a.alarmer, _ = clk.(clock.Alarmer)
+	a.at.Store(math.MaxInt64)
+	return a
+}
+
+// lower arms the alarm at t unless the pending alarm fires no later; it
+// never moves the alarm later. The common case reads one atomic, so grants
+// on different shards share no lock.
+func (a *deadlineAlarm) lower(t time.Time) {
+	if a.alarmer == nil || t.UnixNano() >= a.at.Load() {
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if t.UnixNano() >= a.at.Load() {
+		return
+	}
+	if a.stop != nil {
+		a.stop()
+	}
+	a.gen++
+	gen := a.gen
+	a.at.Store(t.UnixNano())
+	a.stop = a.alarmer.AfterFunc(t, func() { a.fire(gen) })
+}
+
+// fire is the alarm callback. Once the pending alarm fires, nothing is
+// pending, so a deadline tracked during the pass arms afresh and is never
+// left without a wake-up. Only one pass runs at a time: a firing that
+// finds one running asks it to run once more and returns, so firings never
+// queue up behind the shard locks.
+func (a *deadlineAlarm) fire(gen uint64) {
+	a.mu.Lock()
+	if gen == a.gen {
+		a.stop = nil
+		a.at.Store(math.MaxInt64)
+	}
+	a.mu.Unlock()
+	if a.runs.Add(1) > 1 {
+		return
+	}
+	for {
+		a.pass()
+		if a.runs.CompareAndSwap(1, 0) {
+			return
+		}
+		a.runs.Store(1)
+	}
+}
+
+// shutdown cancels the pending alarm — engine Close.
+func (a *deadlineAlarm) shutdown() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.stop != nil {
+		a.stop()
+	}
+	a.stop = nil
+	a.at.Store(math.MaxInt64)
 }
 
 // trackExpiry indexes one granted (or migrated-in) promise for deadline
@@ -184,24 +229,20 @@ func (m *shard) trackExpiry(id string, expires time.Time) {
 		entries = append(entries, expiryEntry{at: expires.Add(-w), id: id, warn: true})
 	}
 	m.exp.track(entries...)
+	m.alarm.lower(entries[len(entries)-1].at)
 }
 
-// expireDue is the alarm callback's body: under the shard lock — expiry
-// mutates the store, so the reserve/confirm pipeline's sole-user invariant
-// must hold — it lapses every promise whose deadline passed, publishes
-// warning events for promises entering their expiry window, and re-arms
-// the alarm. The caller syncs the log once the lock is released
+// expireDue is one shard's part of a deadline pass: under the shard lock —
+// expiry mutates the store, so the reserve/confirm pipeline's sole-user
+// invariant must hold — it lapses every promise whose deadline passed and
+// publishes warning events for promises entering their expiry window. The
+// caller re-arms the alarm and syncs the log once the lock is released
 // (Manager.expireDue).
 func (m *shard) expireDue() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.exp.alarmConsumed()
 	now := m.clk.Now()
 	due := m.exp.dueEntries(now)
-	if len(due) == 0 {
-		m.exp.reschedule(now)
-		return nil
-	}
 	var warns, exps []expiryEntry
 	for _, e := range due {
 		if e.warn {
@@ -236,11 +277,10 @@ func (m *shard) expireDue() error {
 	if len(exps) > 0 {
 		st, err := m.expireBatch(now, exps)
 		if err != nil {
-			// Leave the expire entries in the heap and retry after a short
-			// backoff (the warn entries were fully processed; remove them
-			// so a warning never fires twice).
+			// Leave the expire entries in the heap for the caller's
+			// backoff retry (the warn entries were fully processed; remove
+			// them so a warning never fires twice).
 			m.exp.removeDue(now, warns)
-			m.exp.reschedule(now.Add(100 * time.Millisecond))
 			return err
 		}
 		m.metrics.expirations.Add(st.expired)

@@ -643,6 +643,7 @@ func (d *durableEngine) close() error {
 	for _, sh := range d.s.shards {
 		sh.exp.shutdown()
 	}
+	d.s.alarm.shutdown()
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -674,12 +675,13 @@ func (s *Manager) Checkpoint() error {
 
 // Close flushes state to the data directory (final checkpoint) and closes
 // its logs. A Manager without a data directory only stops its expiry
-// alarms. See promises.Engine.
+// alarm. See promises.Engine.
 func (s *Manager) Close() error {
 	if s.durable == nil {
 		for _, sh := range s.shards {
 			sh.exp.shutdown()
 		}
+		s.alarm.shutdown()
 		return nil
 	}
 	return s.durable.close()

@@ -356,7 +356,7 @@ func (g *grantSession) freeHost(ctx context.Context, locked map[int]bool) (*Join
 		}
 		now := s.clk.Now()
 		for _, sh := range order {
-			if sh < last && !chosen[sh] && len(s.shards[sh].exp.dueEntries(now)) > 0 {
+			if sh < last && !chosen[sh] && s.shards[sh].exp.due(now) {
 				return nil, nil
 			}
 		}

@@ -37,6 +37,7 @@ type shard struct {
 	metrics    managerMetrics
 	bus        *EventBus
 	exp        expiryIndex
+	alarm      *deadlineAlarm // the engine's, shared by every shard
 	cand       candidateIndex
 	pmatch     propMatcher
 	// preemptFilter vetoes preemption candidates by promise id: composite
@@ -100,7 +101,6 @@ func newShard(cfg Config, idPrefix string, bus *EventBus, preemptFilter func(id 
 	m.store.SetEpochSource(m.bus.Seq)
 	m.candInit()
 	m.store.SetCommitHook(m.onCommit)
-	m.exp.alarmer, _ = cfg.Clock.(clock.Alarmer)
 	return m, nil
 }
 
@@ -618,7 +618,7 @@ func (m *shard) releasePromise(tx *txn.Tx, st *execState, p *Promise, terminal S
 // expire at the end of this time"). It runs at the start of every request,
 // but no longer scans the promise table: the expiry heap (expiry.go) names
 // exactly the promises due, so the check is O(1) when nothing is due —
-// normally the case, because the deadline alarm already lapsed them — and
+// normally the case, because the deadline pass already lapsed them — and
 // O(expired) otherwise.
 func (m *shard) sweepExpired(tx *txn.Tx, st *execState) error {
 	now := m.clk.Now()
@@ -627,7 +627,7 @@ func (m *shard) sweepExpired(tx *txn.Tx, st *execState) error {
 			// Warnings belong to the alarm path; without an alarm-capable
 			// clock the request path emits (and retires) them instead, so
 			// they cannot pile up in the heap.
-			if m.exp.alarmer == nil {
+			if m.alarm.alarmer == nil {
 				if p, err := m.promise(tx, e.id); err == nil && p.State == Active && now.Before(p.Expires) {
 					st.events = append(st.events, Event{
 						Type: EventExpiryImminent, PromiseID: p.ID, Client: p.Client,

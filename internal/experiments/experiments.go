@@ -100,18 +100,6 @@ func IDs() []string {
 	return out
 }
 
-// RunAll executes every experiment and prints its table.
-func RunAll(quick bool, w io.Writer) error {
-	for _, id := range IDs() {
-		tbl, err := Registry[id](quick)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		tbl.Fprint(w)
-	}
-	return nil
-}
-
 // newWorld builds a store+RM seeded with pools.
 func newWorld(pools map[string]int64) (*txn.Store, *resource.Manager, error) {
 	store := txn.NewStore()

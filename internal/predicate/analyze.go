@@ -151,23 +151,6 @@ func splitRefLit(l, r Expr) (*Ref, Value, bool) {
 	return nil, Value{}, false
 }
 
-// Implies reports whether every integer assignment of prop satisfying a
-// also satisfies b, for the restricted Bound shape. It is used when
-// deciding whether a promise modification (§4) weakens or strengthens an
-// existing guarantee. ok is false when either expression is outside the
-// Bound fragment or they constrain different properties.
-func Implies(a, b Expr) (implies, ok bool) {
-	pa, ia, okA := Bound(a)
-	pb, ib, okB := Bound(b)
-	if !okA || !okB || pa != pb {
-		return false, false
-	}
-	if ia.Empty() {
-		return true, true // vacuous
-	}
-	return ib.Lo <= ia.Lo && ia.Hi <= ib.Hi, true
-}
-
 // Fold performs constant folding: any subexpression without property
 // references is evaluated and replaced by its literal value. Expressions
 // with evaluation errors (e.g. division by zero) are left intact so the

@@ -86,27 +86,6 @@ func TestBoundTrueConjunctIdentity(t *testing.T) {
 	}
 }
 
-func TestImplies(t *testing.T) {
-	cases := []struct {
-		a, b        string
-		implies, ok bool
-	}{
-		{"balance >= 200", "balance >= 100", true, true},  // stronger implies weaker
-		{"balance >= 100", "balance >= 200", false, true}, // weaker does not imply stronger
-		{"q = 5", "q >= 1 and q <= 10", true, true},
-		{"q >= 1 and q <= 10", "q = 5", false, true},
-		{"q >= 10 and q <= 5", "q = 999", true, true}, // empty implies anything
-		{"a >= 1", "b >= 1", false, false},            // different properties
-		{"a >= 1 or a <= 0", "a >= 1", false, false},  // outside fragment
-	}
-	for _, c := range cases {
-		imp, ok := Implies(MustParse(c.a), MustParse(c.b))
-		if imp != c.implies || ok != c.ok {
-			t.Errorf("Implies(%q, %q) = (%v,%v), want (%v,%v)", c.a, c.b, imp, ok, c.implies, c.ok)
-		}
-	}
-}
-
 func TestIntervalOps(t *testing.T) {
 	a := Interval{Lo: 0, Hi: 10}
 	b := Interval{Lo: 5, Hi: 20}

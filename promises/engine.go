@@ -64,7 +64,7 @@ type Engine interface {
 	// Close shuts the engine down cleanly. On a durable engine (Open with
 	// WithDataDir) it takes a final checkpoint and closes the log, so the
 	// next Open recovers without replaying; on an in-memory engine it only
-	// stops background expiry alarms; on a remote engine it releases idle
+	// stops the background expiry alarm; on a remote engine it releases idle
 	// connections (the daemon's state is the daemon's). Close after
 	// quiescing requests; it is idempotent.
 	Close() error
